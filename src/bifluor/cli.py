@@ -115,14 +115,10 @@ def _cmd_spectrum(args, cfg: ConfigFile):
     emitter = build_emitter(cfg)
     drive = build_bichromatic_drive(cfg)
     grid = build_grid(cfg)
-    tau_max = cfg.get_float("numerics.tau_max_ns", None)
-    n_phases = cfg.get_int("numerics.n_phases", 16)
     cfg.raise_on_unused()
     pl = build_periodic_liouvillian(emitter, drive)
     state = periodic_steady_state(pl)
-    spec = emission_spectrum(
-        pl, state, grid, tau_max=tau_max, n_phases=n_phases, strict=args.strict
-    )
+    spec = emission_spectrum(pl, state, grid, strict=args.strict)
     csvio.write_spectrum(os.path.join(args.out, "spectrum.csv"), spec)
     lines = doubly_dressed_lines(drive)
     csvio.write_lines(os.path.join(args.out, "lines.csv"), lines)
@@ -140,8 +136,6 @@ def _cmd_map(args, cfg: ConfigFile):
     phase = cfg.get_float("drive.relative_phase_rad", 0.0)
     grid = build_grid(cfg)
     axis = _axis_from_cfg(cfg, "scan.delta2")
-    tau_max = cfg.get_float("numerics.tau_max_ns", None)
-    n_phases = cfg.get_int("numerics.n_phases", 16)
     window = cfg.get_float("scan.window_ghz", 0.5)
     want_fit = cfg.get_bool("scan.fit_delta1", False)
     cfg.raise_on_unused()
@@ -153,8 +147,6 @@ def _cmd_map(args, cfg: ConfigFile):
         grid,
         relative_phase=phase,
         workers=args.workers,
-        tau_max=tau_max,
-        n_phases=n_phases,
         strict=args.strict,
     )
     csvio.write_map(os.path.join(args.out, "map.csv"), result)
@@ -185,9 +177,7 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
     strong = build_strong_drive(cfg)
     alpha_sq = cfg.get_float("scan.alpha_squared", 0.359)
     orders = cfg.get_int_list("scan.orders", (1, 2, 3, 4, 5))
-    n_phases = cfg.get_int("numerics.n_phases", 16)
     prominence = cfg.get_float("scan.prominence_frac", 0.1)
-    tau_factor = cfg.get_float("scan.tau_factor", 35.0)
     etalon = EtalonFilter(
         center_ghz=cfg.get_float("etalon.center_ghz", 0.0),
         fsr_ghz=cfg.get_float("etalon.fsr_ghz"),
@@ -207,9 +197,7 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         alpha_squared=alpha_sq,
         orders=orders,
         workers=args.workers,
-        n_phases=n_phases,
         prominence_frac=prominence,
-        tau_factor=tau_factor,
     )
     csvio.write_curve(
         os.path.join(args.out, "subharmonics.csv"),
@@ -234,12 +222,20 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     alpha = cfg.get_float("drive.alpha")  # power ratio of the two fields
     grid = build_grid(cfg)
     method = cfg.get_str("scan.method", "phase_average")
-    n_default = 256 if method == "phase_average" else 16
-    n_phases = cfg.get_int("numerics.n_phases", n_default)
+    n_phases = 256  # phase_average only; small_delta sweeps the phase itself
+    if method == "phase_average":
+        n_phases = cfg.get_int("numerics.n_phases", n_phases)
     epsilon = cfg.get_float("scan.epsilon_ghz", None)
     cfg.raise_on_unused()
     spec = degenerate_spectrum(
-        emitter, strong, alpha, grid, method=method, n_phases=n_phases, epsilon=epsilon
+        emitter,
+        strong,
+        alpha,
+        grid,
+        method=method,
+        n_phases=n_phases,
+        epsilon=epsilon,
+        strict=args.strict,
     )
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)
     extra = {"method": method}
@@ -326,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict",
             action="store_true",
-            help="escalate truncation warnings to errors",
+            help="treat a harmonic cutoff that reaches its ceiling without "
+            "converging as an error, not a warning",
         )
         p.add_argument(
             "--workers",

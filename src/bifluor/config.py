@@ -33,6 +33,11 @@ __all__ = [
 
 _MISSING = object()
 
+# keys of the time-stepping spectrum engine that the harmonic-space
+# resolvent replaced; numerics.n_phases stays valid for the
+# phase-averaged degenerate spectrum, which reads it itself
+REMOVED_KEYS = ("numerics.tau_max_ns", "numerics.n_phases", "scan.tau_factor")
+
 
 @dataclass
 class ConfigFile:
@@ -122,6 +127,11 @@ class ConfigFile:
         leftovers = self.unused()
         if leftovers:
             key, lineno = leftovers[0]
+            if key in REMOVED_KEYS:
+                raise ConfigError(
+                    f"{self.path}:{lineno}: key {key} was removed with the "
+                    "time-stepping spectrum engine; delete it"
+                )
             raise ConfigError(
                 f"{self.path}:{lineno}: unknown key {key} for this command"
             )

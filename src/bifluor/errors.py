@@ -62,7 +62,7 @@ class SingularSystemError(NumericalError):
 
 
 class TruncationError(NumericalError):
-    """A truncated expansion or time window did not converge.
+    """A truncated harmonic expansion did not converge.
 
     Carries the offending residual magnitude when available.
     """

@@ -14,12 +14,25 @@ The periodic steady state is found by harmonic balance,
     (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0,
 
 solved with a block-tridiagonal (Thomas) recursion and normalized by
-trace(rho_0) = 1.  The emission spectrum is the half-range Fourier
-transform of the beat-phase averaged two-time correlation
-<sigma+(t0+tau) sigma-(t0)>, propagated with an adaptive fourth/fifth
-order integrator; the non-decaying part of the correlation (a
-trigonometric polynomial at harmonics of delta) is removed first and
-reported as discrete elastic lines.
+trace(rho_0) = 1.
+
+The emission spectrum needs the beat-phase average of the two-time
+correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
+beat (Sambe space; Sambe, PRA 7, 2203 (1973)), the averaged regression
+vector x_k(tau) evolves under a time-independent block-tridiagonal
+generator, so its Laplace transform at z = i nu solves
+
+    (i nu + i k delta - l0) x_k - lp x_{k-1} - lm x_{k+1} = x_k(0)
+
+and the spectrum is 2 Re x_0[ge] (Ficek & Freedhoff, PRA 48, 3092
+(1993)).  The seed x_k(0) = sigma- rho_k - sum_m s_m rho_{k-m}, with
+s_m = <sigma->_m, removes the non-decaying coherent part; what it
+removes are the elastic lines |s_m|^2 at Delta1 - m delta, reported
+exactly as discrete weights.  Only rho_0 carries trace, so the seed and
+every x_k are traceless; the solve runs in the three traceless
+coordinates, where the generator's trace mode (and with it every
+singular block at nu = -k delta) is absent.  The whole frequency grid
+is solved in one batched Thomas sweep per harmonic cutoff.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -33,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401 - bench/layers.py wraps this name
 
 from .bloch import Spectrum
 from .emitter import TWO_PI, BichromaticDrive, EmitterParams
@@ -70,6 +83,12 @@ SIGMA_P = SIGMA_M.conj().T
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 NUMBER = SIGMA_P @ SIGMA_M
 TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+# a traceless vector x is _FROM_TRACELESS @ x[1:], since x_gg = -x_ee
+_FROM_TRACELESS = np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+_DIAG3 = np.arange(3)
+
+CUTOFF_CEILING = 4096  # largest harmonic cutoff of the spectrum resolvent
+CHUNK_BYTES = 32 * 2**20  # elimination records held per frequency chunk
 
 
 def spre(a: np.ndarray) -> np.ndarray:
@@ -149,13 +168,6 @@ class PeriodicState:
         k = np.arange(-self.cutoff, self.cutoff + 1)
         phases = np.exp(1j * self.delta * np.outer(k, t))
         return self.harmonics.T @ phases
-
-    def content_cutoff(self, tol: float = 1e-7) -> int:
-        """Largest |k| whose harmonic exceeds tol * ||rho_0||, plus one."""
-        norms = np.linalg.norm(self.harmonics, axis=1)
-        ref = norms[self.cutoff]
-        above = np.nonzero(norms >= tol * ref)[0]
-        return int(np.max(np.abs(above - self.cutoff))) + 1
 
 
 def build_periodic_liouvillian(
@@ -253,6 +265,9 @@ def periodic_steady_state(
 def _filon_weights(theta: np.ndarray):
     """Panel weights for quadratic interpolatory oscillatory quadrature.
 
+    Not used by emission_spectrum; kept with half_fourier while
+    bench/layers.py still traces both names.
+
     For one panel [0, 2h] with nodes at 0, h, 2h the integral of
     f(tau) e^{-i nu tau} is h * (w0 f0 + w1 f1 + w2 f2) with the f
     values taken at the nodes and theta = nu h.  Exact for quadratic f,
@@ -290,7 +305,7 @@ def half_fourier(tau: np.ndarray, values: np.ndarray, nu: np.ndarray) -> np.ndar
 
     ``tau`` must be uniform with an odd number of points (an even
     number of panels).  Evaluated per frequency with oscillation-exact
-    panel weights; complex result.
+    panel weights; complex result.  Not used by emission_spectrum.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -316,39 +331,132 @@ def half_fourier(tau: np.ndarray, values: np.ndarray, nu: np.ndarray) -> np.ndar
     return out
 
 
-def _slowest_rate(l0: np.ndarray) -> float:
-    lams = np.linalg.eigvals(l0)
-    rates = -lams.real
-    rates = rates[rates > 1e-9]
-    if rates.size == 0:
-        raise ValidationError("generator has no decaying modes")
-    return float(rates.min())
+def _incoherent_seed(state: PeriodicState, cutoff: int) -> np.ndarray:
+    """x_k(0) = sigma- rho_k - sum_m s_m rho_{k-m} for |k| <= cutoff.
+
+    Every x_k(0) is traceless, since only rho_0 carries trace, and is
+    returned as (x_eg, x_ge, x_ee): shape (2 * cutoff + 1, 3), row
+    cutoff + k holding harmonic k.
+    """
+    c = state.cutoff
+    harm = state.harmonics
+    full = -np.stack(
+        [np.convolve(harm[:, 1], harm[:, j]) for j in range(4)], axis=1
+    )  # harmonics -2c .. 2c
+    full[c : 3 * c + 1] += harm @ spre(SIGMA_M).T
+    seed = np.zeros((2 * cutoff + 1, 3), dtype=complex)
+    n = min(cutoff, 2 * c)
+    seed[cutoff - n : cutoff + n + 1] = full[2 * c - n : 2 * c + n + 1, 1:]
+    return seed
+
+
+def _inv3(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 3x3 matrices, stack axis last (cofactors)."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    adj = np.array(
+        [
+            [c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11],
+            [c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12],
+            [c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10],
+        ]
+    )
+    return adj / (a00 * c00 + a01 * c01 + a02 * c02)
+
+
+def _block(l0, shift, carry=None, couple=None):
+    """i shift - l0 - couple @ carry over a frequency stack, axis last."""
+    if carry is None:
+        a = np.repeat(-l0[:, :, None], shift.size, axis=2)
+    else:
+        a = -l0[:, :, None] - (couple @ carry.reshape(3, -1)).reshape(carry.shape)
+    a[_DIAG3, _DIAG3] += 1j * shift
+    return a
+
+
+def _half_sweep(nu, delta, l0, seed, cutoff, sign, couple_in, couple_out):
+    """Eliminate harmonics sign*cutoff .. sign*1 toward k = 0.
+
+    Returns (mats, vecs) with x_{sign j} = mats[j-1] x_{sign(j-1)} +
+    vecs[j-1], frequency axis last.
+    """
+    mats = np.empty((cutoff, 3, 3, nu.size), dtype=complex)
+    vecs = np.empty((cutoff, 3, nu.size), dtype=complex)
+    carry = None
+    for j in range(cutoff, 0, -1):
+        rhs = np.broadcast_to(seed[cutoff + sign * j][:, None], (3, nu.size))
+        if j < cutoff:
+            carry = mats[j]
+            rhs = rhs + couple_out @ vecs[j]
+        inv = _inv3(_block(l0, nu + sign * j * delta, carry, couple_out))
+        mats[j - 1] = np.einsum("ilm,lj->ijm", inv, couple_in)
+        vecs[j - 1] = np.einsum("ilm,lm->im", inv, rhs)
+    return mats, vecs
+
+
+def _edge_norm(x0, mats, vecs):
+    """Norm of x at the outermost harmonic, walked out from x_0."""
+    x = x0
+    for mat, vec in zip(mats, vecs):
+        x = np.einsum("ijm,jm->im", mat, x) + vec
+    return np.linalg.norm(x, axis=0)
+
+
+def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, cutoff: int):
+    """Batched Sambe-space resolvent: x_0 at every nu and the edge norms.
+
+    The regression vectors are traceless, so they are solved in the
+    coordinates (x_eg, x_ge, x_ee) of the traceless subspace, where the
+    trace mode of the generator is absent: every 3x3 block is regular,
+    also where nu = -k delta.  Frequencies are processed in chunks whose
+    elimination records fit into CHUNK_BYTES.  Returns x_0 in those
+    coordinates, shape (3, n).
+    """
+    l0, lp, lm = (op[1:] @ _FROM_TRACELESS for op in (pl.l0, pl.lp, pl.lm))
+    x0 = np.empty((3, nu.size), dtype=complex)
+    edge = np.zeros(nu.size)
+    # per frequency and harmonic: a 3x3 matrix and a 3-vector of complex128
+    size = max(1, CHUNK_BYTES // (2 * max(cutoff, 1) * 12 * 16))
+    for lo in range(0, nu.size, size):
+        nuc = nu[lo : lo + size]
+        rhs = np.repeat(seed[cutoff][:, None], nuc.size, axis=1)
+        if cutoff > 0:
+            up = _half_sweep(nuc, pl.delta, l0, seed, cutoff, +1, lp, lm)
+            down = _half_sweep(nuc, pl.delta, l0, seed, cutoff, -1, lm, lp)
+            center = _block(l0, nuc, up[0][0], lm)
+            center -= (lp @ down[0][0].reshape(3, -1)).reshape(center.shape)
+            rhs += lm @ up[1][0] + lp @ down[1][0]
+        else:
+            center = _block(l0, nuc)
+        x = np.einsum("ilm,lm->im", _inv3(center), rhs)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystemError("resolvent solve hit a singular block")
+        x0[:, lo : lo + size] = x
+        if cutoff > 0:
+            edge[lo : lo + size] = np.maximum(_edge_norm(x, *up), _edge_norm(x, *down))
+    return x0, edge
 
 
 def emission_spectrum(
     pl: PeriodicLiouvillian,
     state: PeriodicState,
     grid: np.ndarray,
-    tau_max: float | None = None,
-    n_phases: int = 16,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     strict: bool = False,
     detector_fwhm: float | None = None,
 ) -> Spectrum:
     """Beat-averaged emission spectrum on ``grid`` (GHz, relative to omega0).
 
-    The two-time correlation is seeded with sigma- rho_ss(t0) at
-    ``n_phases`` beat phases t0 (raised automatically if the steady
-    state holds more harmonics), propagated to ``tau_max`` ns (default:
-    thirty decay times of the slowest static mode) and averaged.  The
-    non-decaying tail, a trigonometric polynomial at harmonics of the
-    beat, is fitted over the last 20% of the window, subtracted, and
-    returned as elastic lines; the rest is tapered with a cosine
-    roll-off over the last 10% and transformed.
+    Solves the Laplace-domain correlation in harmonic (Sambe) space at
+    every grid frequency at once (see the module docstring).  The
+    harmonic cutoff starts at ``state.cutoff`` and doubles until both
+    edge harmonics fall below 1e-8 of the largest x_0 on the grid; at
+    CUTOFF_CEILING without convergence a TruncationWarning is issued
+    (a TruncationError under ``strict``) and the ceiling result is
+    returned.  The elastic lines are |<sigma->_m|^2 at Delta1 - m delta
+    for every steady-state harmonic m.
 
-    A correlation that has not decayed below 1e-6 of its initial value
-    at tau_max raises a TruncationWarning (an error under strict).
     ``detector_fwhm``, if set, convolves the result with a Gaussian of
     that width (GHz); the grid must then be uniform.
     """
@@ -367,92 +475,28 @@ def emission_spectrum(
             f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
             f"[{d1 - need:g}, {d1 + need:g}] GHz (all nine line positions)"
         )
-    if tau_max is None:
-        tau_max = max(10.0 * emitter.t2_ns, 30.0 / _slowest_rate(pl.l0))
-    elif tau_max < 10.0 * emitter.t2_ns:
-        raise ValidationError(
-            f"tau_max {tau_max:g} ns is below ten coherence times "
-            f"({10.0 * emitter.t2_ns:g} ns)"
-        )
-
-    f_max = max(
-        abs(drive.delta) if drive.weak.rabi > 0.0 else 0.0,
-        2.0 * drive.strong.rabi,
-        g_half,
-        emitter.gamma_sp / TWO_PI,
-        1.0 / (TWO_PI * emitter.t2_ns),
-        float(np.max(np.abs(grid - d1))),
-    )
-    h = 1.0 / (20.0 * f_max)
-    n_tau = int(np.ceil(tau_max / h)) + 1
-    if n_tau % 2 == 0:
-        n_tau += 1
-    tau = np.linspace(0.0, tau_max, n_tau)
-
-    coupled = np.any(pl.lp != 0.0)
-    if coupled:
-        m_phases = max(int(n_phases), state.content_cutoff())
-    else:
-        m_phases = 1
-    beat = 2.0 * np.pi / abs(pl.delta)
-    t0 = np.arange(m_phases) * beat / m_phases
-    seeds = spre(SIGMA_M) @ state.rho_at(t0)  # (4, M)
-
-    ph0 = np.exp(1j * pl.delta * t0)
-    l0, lp, lm = pl.l0, pl.lp, pl.lm
-
-    def rhs(t, y):
-        ymat = y.reshape(4, m_phases)
-        out = l0 @ ymat
-        if coupled:
-            ph = ph0 * np.exp(1j * pl.delta * t)
-            out = out + (lp @ ymat) * ph + (lm @ ymat) * ph.conj()
-        return out.reshape(-1)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, tau_max),
-        seeds.reshape(-1),
-        method="RK45",
-        t_eval=tau,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise TruncationError(f"correlation propagation failed: {sol.message}")
-    # index 2 of the vectorized operator is the ge component, whose trace
-    # against sigma+ gives the correlation
-    corr = sol.y.reshape(4, m_phases, n_tau)[2].mean(axis=0)
-
-    # non-decaying tail: trigonometric polynomial at harmonics of delta
-    tail = tau >= 0.8 * tau_max
-    delta_ghz = pl.delta / TWO_PI
-    km = min(4, int(np.floor(0.2 * tau_max * abs(delta_ghz)))) if coupled else 0
-    orders = np.arange(-km, km + 1)
-    basis = np.exp(1j * pl.delta * np.outer(tau[tail], orders))
-    coef, *_ = np.linalg.lstsq(basis, corr[tail], rcond=None)
-    full_basis = np.exp(1j * pl.delta * np.outer(tau, orders))
-    corr_inc = corr - full_basis @ coef
-
-    c0 = abs(corr_inc[0])
-    resid = float(np.max(np.abs(corr_inc[tau >= 0.9 * tau_max])))
-    if resid > 1e-6 * max(c0, 1e-300):
-        msg = (
-            f"correlation not decayed at tau_max={tau_max:g} ns: "
-            f"residual {resid:.3e} vs initial {c0:.3e}"
-        )
-        if strict:
-            raise TruncationError(msg, residual=resid / max(c0, 1e-300))
-        warnings.warn(msg, TruncationWarning, stacklevel=2)
-
-    window = np.ones(n_tau)
-    edge = tau >= 0.9 * tau_max
-    window[edge] = 0.5 * (
-        1.0 + np.cos(np.pi * (tau[edge] - 0.9 * tau_max) / (0.1 * tau_max))
-    )
 
     nu = TWO_PI * (grid - d1)
-    intensity = 2.0 * np.real(half_fourier(tau, corr_inc * window, nu))
+    ceiling = CUTOFF_CEILING
+    cutoff = min(state.cutoff, ceiling) if np.any(pl.lp != 0.0) else 0
+    while True:
+        x0, edge = _sambe_resolvent(pl, _incoherent_seed(state, cutoff), nu, cutoff)
+        ref = float(np.max(np.linalg.norm(x0, axis=0)))
+        resid = float(np.max(edge)) / max(ref, 1e-300)
+        if resid <= 1e-8:
+            break
+        if cutoff >= ceiling:
+            msg = (
+                f"resolvent not converged at harmonic cutoff {cutoff}: "
+                f"edge harmonic {resid:.3e} of the central one"
+            )
+            if strict:
+                raise TruncationError(msg, residual=resid)
+            warnings.warn(msg, TruncationWarning, stacklevel=2)
+            break
+        cutoff = min(2 * cutoff, ceiling)
+    # the ge component, whose trace against sigma+ gives the correlation
+    intensity = 2.0 * x0[1].real
 
     if detector_fwhm is not None:
         steps = np.diff(grid)
@@ -465,14 +509,17 @@ def emission_spectrum(
         kernel /= kernel.sum()
         intensity = np.convolve(intensity, kernel, mode="same")
 
-    weights = np.clip(coef.real, 0.0, None)
-    lines = tuple(
-        (d1 + m * delta_ghz, float(wt)) for m, wt in zip(orders, weights)
+    weights = np.abs(state.harmonics[:, 1]) ** 2
+    orders = np.arange(-state.cutoff, state.cutoff + 1)
+    delta_ghz = pl.delta / TWO_PI
+    lines = sorted(
+        (float(d1 - m * delta_ghz), float(wt))
+        for m, wt in zip(orders, weights)
+        if wt > 0.0
     )
-    lines = tuple(sorted(lines, key=lambda fw: fw[0]))
     return Spectrum(
         freq=grid,
         intensity=intensity,
         elastic_weight=float(weights.sum()),
-        elastic_lines=lines,
+        elastic_lines=tuple(lines),
     )

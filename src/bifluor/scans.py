@@ -12,7 +12,6 @@ by index, so results are identical for any worker count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +71,11 @@ class EtalonFilter:
 
 def _row_task(args):
     """Worker for scan rows; returns (index, intensity, elastic, error)."""
-    idx, emitter, drive, grid, tau_max, n_phases, strict = args
+    idx, emitter, drive, grid, strict = args
     try:
         pl = build_periodic_liouvillian(emitter, drive)
         state = periodic_steady_state(pl)
-        spec = emission_spectrum(
-            pl, state, grid, tau_max=tau_max, n_phases=n_phases, strict=strict
-        )
+        spec = emission_spectrum(pl, state, grid, strict=strict)
         return idx, spec.intensity, float(spec.elastic_weight), None
     except Exception as exc:  # noqa: BLE001 - reported per row
         return idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
@@ -120,8 +117,6 @@ def detuning_map(
     grid,
     relative_phase: float = 0.0,
     workers: int = 1,
-    tau_max: float | None = None,
-    n_phases: int = 16,
     strict: bool = False,
 ) -> ScanResult2D:
     """Emission spectra versus the dressed detuning Delta2.
@@ -141,7 +136,7 @@ def detuning_map(
     for i, d2 in enumerate(delta2_values):
         weak = DriveField(detuning=d2 - 2.0 * strong.rabi, rabi=weak_rabi)
         drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
-        tasks.append((i, emitter, drive, grid, tau_max, n_phases, strict))
+        tasks.append((i, emitter, drive, grid, strict))
     rows = _run_rows(tasks, workers)
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
@@ -315,9 +310,7 @@ def subharmonic_scan(
     alpha_squared: float = 0.359,
     orders=(1, 2, 3, 4, 5),
     workers: int = 1,
-    n_phases: int = 16,
     prominence_frac: float = 0.1,
-    tau_factor: float = 35.0,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
@@ -327,8 +320,7 @@ def subharmonic_scan(
     appear where 2 Omega / n photon processes go resonant, displaced
     from the bare subharmonics by the ac Stark shift; each requested
     order is located with a local minimum search plus parabolic
-    refinement.  Slow near-resonant dynamics need a long correlation
-    window, set by ``tau_factor`` coherence times.
+    refinement.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
@@ -343,13 +335,12 @@ def subharmonic_scan(
     step = max(etalon.fwhm_ghz / 4.0, 1e-3)
     grid = np.arange(-span - 2.0 * step, span + 2.0 * step + step / 2, step)
     grid = grid + strong.detuning
-    tau_max = tau_factor * max(emitter.t1_ns, emitter.t2_ns)
 
     tasks = []
     for i, d3 in enumerate(delta3_values):
         weak = DriveField(detuning=d3, rabi=g)
         drive = BichromaticDrive(strong=strong, weak=weak)
-        tasks.append((i, emitter, drive, grid, tau_max, n_phases, False))
+        tasks.append((i, emitter, drive, grid, False))
     rows = _run_rows(tasks, workers)
     trans = etalon.transmission(grid)
     intensity = np.full(delta3_values.size, np.nan)
@@ -426,6 +417,7 @@ def degenerate_spectrum(
     method: str = "phase_average",
     n_phases: int = 256,
     epsilon: float | None = None,
+    strict: bool = False,
 ) -> bloch.Spectrum:
     """Spectrum for two drives at the same frequency (power ratio alpha).
 
@@ -434,10 +426,11 @@ def degenerate_spectrum(
     Omega sqrt(1 + alpha + 2 sqrt(alpha) cos phi), which flattens the
     sidebands into plateaus spanning 2 Omega (1 +- sqrt(alpha)).
 
-    ``phase_average`` averages monochromatic spectra over the phase;
-    ``small_delta`` instead runs the bichromatic engine at a tiny beat
-    detuning epsilon (default one twentieth of the radiative linewidth)
-    so the phase is swept physically.  Both see the same distribution.
+    ``phase_average`` averages monochromatic spectra over ``n_phases``
+    phases; ``small_delta`` instead runs the bichromatic engine at a
+    tiny beat detuning epsilon (default one twentieth of the radiative
+    linewidth) so the phase is swept physically.  Both see the same
+    distribution.  ``strict`` is passed on to emission_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(alpha) or alpha < 0.0:
@@ -480,12 +473,7 @@ def degenerate_spectrum(
         )
         drive = BichromaticDrive(strong=strong, weak=weak)
         pl = build_periodic_liouvillian(emitter, drive)
-        state = periodic_steady_state(pl)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return emission_spectrum(
-                pl, state, grid, n_phases=n_phases, strict=False
-            )
+        return emission_spectrum(pl, periodic_steady_state(pl), grid, strict=strict)
     raise ValidationError(f"unknown method {method!r}")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bifluor import cli, csvio
+from bifluor import cli, csvio, floquet
 from bifluor.bloch import mollow_spectrum
 from bifluor.config import (
     build_bichromatic_drive,
@@ -234,6 +234,39 @@ grid_max_ghz = 9
 grid_step_ghz = 0.1
 """
 
+DEGENERATE_CFG = """\
+[emitter]
+t1_ps = 390
+t2_ps = 424
+
+[drive]
+rabi2_strong_ghz = 5.8
+alpha = 0.25
+
+[numerics]
+grid_min_ghz = -12
+grid_max_ghz = 12
+grid_step_ghz = 0.02
+"""
+
+SUBHARMONICS_CFG = """\
+[emitter]
+t1_ps = 390
+t2_ps = 424
+
+[drive]
+rabi2_strong_ghz = 5.8
+
+[etalon]
+fsr_ghz = 9.18
+fwhm_ghz = 0.14
+
+[scan]
+alpha_squared = 0
+orders = 1
+points_per_order = 5
+"""
+
 
 def write_cfg(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -396,16 +429,49 @@ grid_step_ghz = 0.02
         )
         assert code == 1
 
-    def test_strict_escalates_truncation_to_exit_two(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SPECTRUM_CFG + "tau_max_ns = 4.24\n")
+    def test_strict_escalates_cutoff_ceiling_to_exit_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # both spectra need a harmonic cutoff of at least 16; cap it at 4
+        monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+        small_delta = DEGENERATE_CFG + "\n[scan]\nmethod = small_delta\n"
+        for command, text in (("spectrum", SPECTRUM_CFG), ("degenerate", small_delta)):
+            cfg = write_cfg(tmp_path, text)
+            out = tmp_path / command
+            relaxed = cli.main([command, "--config", cfg, "--out", str(out)])
+            assert relaxed == 0
+            meta = (out / "metadata.txt").read_text()
+            assert "TruncationWarning" in meta and "n_warnings=0" not in meta
+            args = [command, "--config", cfg, "--out", str(out), "--strict"]
+            assert cli.main(args) == 2
+            assert "harmonic cutoff 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("spectrum", SPECTRUM_CFG + "tau_max_ns = 40\n", "numerics.tau_max_ns"),
+            ("spectrum", SPECTRUM_CFG + "n_phases = 16\n", "numerics.n_phases"),
+            (
+                "degenerate",
+                DEGENERATE_CFG + "n_phases = 16\n\n[scan]\nmethod = small_delta\n",
+                "numerics.n_phases",
+            ),
+            ("subharmonics", SUBHARMONICS_CFG + "tau_factor = 35\n", "scan.tau_factor"),
+        ],
+    )
+    def test_time_stepping_keys_are_rejected_as_removed(
+        self, tmp_path, capsys, command, text, key
+    ):
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"key {key} was removed with the time-stepping spectrum engine" in err
+
+    def test_phase_average_keeps_its_phase_count(self, tmp_path):
+        cfg = write_cfg(tmp_path, DEGENERATE_CFG + "n_phases = 64\n")
         out = tmp_path / "out"
-        relaxed = cli.main(["spectrum", "--config", cfg, "--out", str(out)])
-        assert relaxed == 0
-        meta = (out / "metadata.txt").read_text()
-        assert "TruncationWarning" in meta and "n_warnings=0" not in meta
-        strict = cli.main(["spectrum", "--config", cfg, "--out", str(out), "--strict"])
-        assert strict == 2
-        assert "error:" in capsys.readouterr().err
+        assert cli.main(["degenerate", "--config", cfg, "--out", str(out)]) == 0
+        assert "config.numerics.n_phases=64" in (out / "metadata.txt").read_text()
 
     def test_version_and_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as info:

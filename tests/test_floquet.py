@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_periodic_state,
@@ -9,14 +11,15 @@ from oracles import (
     generator_parts,
     window_weight,
 )
+from bifluor import floquet
 from bifluor.bloch import mollow_spectrum
+from bifluor.dressed import subharmonic_shift
 from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
 from bifluor.errors import (
     CoverageError,
     DegenerateDriveError,
     TruncationError,
     TruncationWarning,
-    ValidationError,
 )
 from bifluor.floquet import (
     build_periodic_liouvillian,
@@ -59,7 +62,6 @@ def test_steady_state_is_physical(emitter, drive):
     assert np.abs(rho[1] - np.conj(rho[2])).max() < 1e-12
     assert np.abs(np.imag(rho[0])).max() < 1e-12
     assert rho[3].real.min() > 0.0
-    assert state.content_cutoff() >= 1
 
 
 def test_harmonic_matrix_reshapes_the_harmonic(emitter, drive):
@@ -102,19 +104,38 @@ def test_grid_must_cover_both_triplets(emitter, drive):
         emission_spectrum(pl, state, np.linspace(-2.0, 2.0, 81))
 
 
-def test_short_correlation_window_is_rejected(emitter, drive, fine_grid):
+def test_cutoff_doubling_leaves_the_spectrum_unchanged(emitter, drive, fine_grid):
+    # a steady state solved at four times the cutoff makes the resolvent
+    # start (and stop) at a cutoff at least twice the converged one
     pl, state = steady(emitter, drive)
-    with pytest.raises(ValidationError):
-        emission_spectrum(pl, state, fine_grid, tau_max=2.0)
+    wide = periodic_steady_state(pl, cutoff=4 * state.cutoff)
+    assert wide.cutoff == 4 * state.cutoff
+    base = emission_spectrum(pl, state, fine_grid)
+    doubled = emission_spectrum(pl, wide, fine_grid)
+    rel = np.abs(doubled.intensity - base.intensity).max() / base.intensity.max()
+    assert rel < 1e-9
+    assert doubled.elastic_weight == pytest.approx(base.elastic_weight, rel=1e-12)
 
 
-def test_unresolved_tail_warns_and_strict_raises(emitter, drive):
-    grid = np.linspace(-12.0, 12.0, 241)
+def order5_row():
+    """One order-5 row of the reference subharmonic scan: drive and grid."""
+    g = 0.5 * np.sqrt(0.359) * 2.9
+    d3 = -(2.0 * 2.9 / 5.0 + subharmonic_shift(5, 2.9, 0.359))
+    drive = BichromaticDrive(
+        strong=DriveField(detuning=0.0, rabi=2.9), weak=DriveField(detuning=d3, rabi=g)
+    )
+    return drive, np.linspace(-9.0, 9.0, 515)
+
+
+def test_cutoff_ceiling_warns_and_strict_raises(emitter, monkeypatch):
+    drive, grid = order5_row()
     pl, state = steady(emitter, drive)
-    with pytest.warns(TruncationWarning):
-        emission_spectrum(pl, state, grid, tau_max=4.24)
-    with pytest.raises(TruncationError):
-        emission_spectrum(pl, state, grid, tau_max=4.24, strict=True)
+    monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+    with pytest.warns(TruncationWarning, match="harmonic cutoff 4"):
+        emission_spectrum(pl, state, grid)
+    with pytest.raises(TruncationError) as info:
+        emission_spectrum(pl, state, grid, strict=True)
+    assert info.value.residual > 1e-8
 
 
 def test_detector_response_broadens_but_conserves_weight(emitter, drive, fine_grid):
@@ -125,3 +146,100 @@ def test_detector_response_broadens_but_conserves_weight(emitter, drive, fine_gr
     assert np.trapezoid(seen.intensity, fine_grid) == pytest.approx(
         np.trapezoid(bare.intensity, fine_grid), rel=1e-3
     )
+
+
+# --- invariants of the resolvent engine, over emitter and drive parameters
+
+lifetimes = st.tuples(st.floats(200.0, 1000.0), st.floats(0.3, 1.0)).map(
+    lambda t: (t[0], t[1] * 2.0 * t[0])
+)
+
+
+def random_drive(rabi, d1, weak_rabi, beat, phase=0.0):
+    return BichromaticDrive(
+        strong=DriveField(detuning=d1, rabi=rabi),
+        weak=DriveField(detuning=d1 + beat, rabi=weak_rabi),
+        relative_phase=phase,
+    )
+
+
+def covering_grid(emitter, drive, points=241):
+    """Grid symmetric about zero that covers every line of ``drive``."""
+    lw = 1.0 / (2.0 * np.pi * emitter.t2_ns)
+    span = max(2.0 * drive.strong.rabi, abs(drive.delta))
+    half = abs(drive.strong.detuning) + span + 2.0 * drive.weak.rabi + 3.0 * lw + 0.5
+    return np.linspace(-half, half, points)
+
+
+def spectrum_of(emitter, drive, grid):
+    pl, state = steady(emitter, drive)
+    return emission_spectrum(pl, state, grid)
+
+
+drives = st.tuples(
+    st.floats(1.0, 4.0),  # strong half splitting Omega
+    st.floats(-1.5, 1.5),  # Delta1
+    st.floats(0.1, 1.0),  # weak half splitting G
+    st.floats(1.0, 8.0) | st.floats(-8.0, -1.0),  # beat Delta3 - Delta1
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives, st.floats(0.1, 6.2))
+def test_spectrum_does_not_depend_on_relative_phase(times, params, phase):
+    em = EmitterParams(*times)
+    base = random_drive(*params)
+    grid = covering_grid(em, base)
+    ref = spectrum_of(em, base, grid)
+    turned = spectrum_of(em, random_drive(*params, phase=phase), grid)
+    assert np.abs(turned.intensity - ref.intensity).max() <= 1e-10 * ref.intensity.max()
+    assert turned.elastic_weight == pytest.approx(ref.elastic_weight, rel=1e-10, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives)
+def test_flipping_both_detunings_mirrors_the_spectrum(times, params):
+    em = EmitterParams(*times)
+    rabi, d1, weak_rabi, beat = params
+    drive = random_drive(rabi, d1, weak_rabi, beat)
+    grid = covering_grid(em, drive)
+    ref = spectrum_of(em, drive, grid)
+    flipped = spectrum_of(em, random_drive(rabi, -d1, weak_rabi, -beat), grid)
+    mirrored = flipped.intensity[::-1]
+    assert np.abs(mirrored - ref.intensity).max() <= 1e-10 * ref.intensity.max()
+    assert flipped.elastic_weight == pytest.approx(ref.elastic_weight, rel=1e-10, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lifetimes,
+    st.floats(0.5, 5.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.5, 6.0) | st.floats(-6.0, -0.5),
+)
+def test_weak_field_off_equals_the_bloch_spectrum(times, rabi, d1, beat):
+    em = EmitterParams(*times)
+    strong = DriveField(detuning=d1, rabi=rabi)
+    drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d1 + beat, rabi=0.0))
+    lw = 1.0 / (2.0 * np.pi * em.t2_ns)
+    grid = np.linspace(-1.0, 1.0, 201) * (2.0 * rabi + 6.0 * lw) + d1
+    spec = spectrum_of(em, drive, grid)
+    ref = mollow_spectrum(em, strong, grid)
+    assert np.abs(spec.intensity - ref.intensity).max() <= 1e-10 * ref.intensity.max()
+    assert spec.elastic_weight == pytest.approx(ref.elastic_weight, rel=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(-7.0, -1.0), st.floats(0.2, 1.0))
+@example(d3=-(1.16 + subharmonic_shift(5, 2.9, 0.359)), weak_rabi=0.5 * np.sqrt(0.359) * 2.9)
+def test_elastic_weight_is_the_beat_averaged_coherence(d3, weak_rabi):
+    # order-5 rows carry coherence harmonics far beyond |m| = 4
+    em = EmitterParams(t1=390.0, t2=424.0)
+    drive = random_drive(2.9, 0.0, weak_rabi, d3)
+    pl, state = steady(em, drive)
+    spec = emission_spectrum(pl, state, covering_grid(em, drive))
+    samples = 4 * state.cutoff + 1
+    times = np.arange(samples) * (2.0 * np.pi / abs(pl.delta)) / samples
+    coherence = state.rho_at(times)[1]  # <sigma->(t) = rho_eg(t)
+    assert spec.elastic_weight == pytest.approx(np.mean(np.abs(coherence) ** 2), rel=1e-12)
+    assert sum(w for _f, w in spec.elastic_lines) == pytest.approx(spec.elastic_weight, rel=1e-12)

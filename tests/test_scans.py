@@ -1,11 +1,18 @@
 """Detuning maps, subharmonic scans, degenerate driving, etalon filter."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from bifluor.bloch import mollow_spectrum
 from bifluor.emitter import DriveField, EmitterParams
 from bifluor.errors import ConfigError, CoverageError, ValidationError
+from bifluor.floquet import (
+    build_periodic_liouvillian,
+    emission_spectrum,
+    periodic_steady_state,
+)
 from bifluor.scans import (
     CentralCurve,
     EtalonFilter,
@@ -221,3 +228,19 @@ class TestDegenerate:
             plateau_edges(freq, np.ones_like(freq), 2.9, 0.0)
         with pytest.raises(CoverageError):
             plateau_edges(np.array([0.0, 6.0, 12.0]), np.ones(3), 2.9, 0.36)
+
+
+def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
+    """The reference spectrum, the order-5 scan rows and the tiny-beat
+    degenerate spectrum converge without any warning."""
+    etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
+    order5 = subharmonic_axis(2.9, orders=(5,), points_per_order=6)
+    wide = np.round(np.arange(-1200, 1201) * 0.01, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pl = build_periodic_liouvillian(emitter, drive)
+        emission_spectrum(pl, periodic_steady_state(pl), fine_grid)
+        # a failed row would come back as NaN rather than raise
+        scan = subharmonic_scan(emitter, strong, order5, etalon, orders=(5,))
+        assert np.isfinite(scan.intensity).all()
+        degenerate_spectrum(emitter, strong, 0.36, wide, method="small_delta")
