@@ -8,8 +8,12 @@ are in angular units (rad/ns and 1/ns, see the emitter module).
 
 The emission spectrum comes from the quantum regression theorem: the
 two-time correlation C(tau) = <sigma+(t+tau) sigma-(t)> obeys the same
-drift as the Bloch vector, and the incoherent spectrum is the real part
-of a sum of resolvent terms over the drift eigenmodes.  Frequencies are
+drift as the Bloch vector, so the incoherent spectrum is a sum over its
+three poles.  Spectra are computed for a stack of drive strengths (one
+drive is a stack of one, the phase-averaged degenerate drive a stack
+of n_phases): one builder makes the drift matrices, one helper finds
+their poles and amplitudes, and one pole sum averages the spectra in
+real arithmetic over grid chunks of bounded memory.  Frequencies are
 quoted in GHz relative to the bare transition; the drive sits at the
 detuning Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2 +
 Delta1^2).
@@ -17,7 +21,7 @@ Delta1^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,48 +94,96 @@ class Spectrum:
         intensity.setflags(write=False)
 
 
+def _drift_stack(t1: float, t2: float, detuning: float, rabis):
+    """(n, 3, 3) drift matrices, one per half Rabi (GHz), and the pump (t1, t2 in ns)."""
+    d1 = TWO_PI * detuning
+    base = np.array([[-1.0 / t2, -d1, 0.0], [d1, -1.0 / t2, 0.0], [0.0, 0.0, -1.0 / t1]])
+    coupling = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
+    om = TWO_PI * np.asarray(rabis, dtype=float).reshape(-1, 1, 1)
+    return base + om * coupling, np.array([0.0, 0.0, -1.0 / t1])
+
+
 def build_bloch(emitter: EmitterParams, drive: DriveField) -> BlochSystem:
     """Bloch drift matrix and pump for a single monochromatic drive."""
-    t1 = emitter.t1_ns
-    t2 = emitter.t2_ns
-    om = TWO_PI * drive.rabi
-    d1 = TWO_PI * drive.detuning
-    drift = np.array(
-        [
-            [-1.0 / t2, -d1, 0.0],
-            [d1, -1.0 / t2, 2.0 * om],
-            [0.0, -2.0 * om, -1.0 / t1],
-        ]
-    )
-    pump = np.array([0.0, 0.0, -1.0 / t1])
-    return BlochSystem(drift, pump, emitter, drive)
+    drift, pump = _drift_stack(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
+    return BlochSystem(drift[0], pump, emitter, drive)
+
+
+def _steady(drift: np.ndarray, pump: np.ndarray) -> np.ndarray:
+    """Steady Bloch vectors of one drift matrix or of a stack of them."""
+    if np.any(np.linalg.cond(drift) > 1e12):
+        raise SingularSystemError("Bloch drift matrix is numerically singular")
+    return np.linalg.solve(drift, -pump[:, None])[..., 0]
 
 
 def steady_state(system: BlochSystem) -> np.ndarray:
     """Steady Bloch vector (u, v, w); the excited population is (1+w)/2."""
-    a = system.drift
-    if np.linalg.cond(a) > 1e12:
-        raise SingularSystemError("Bloch drift matrix is numerically singular")
-    return np.linalg.solve(a, -system.pump)
+    return _steady(system.drift, system.pump)
 
 
-def _coherence_modes(system: BlochSystem):
-    """Eigen-decomposition of the regression problem for C(tau).
+def _poles(t1: float, t2: float, detuning: float, rabis):
+    """Poles of the regression problem for C(tau), one row per half Rabi.
 
-    Returns (lams, amps, elastic, rho_ee): C_inc(tau) =
-    sum_k amps[k] * exp(lams[k] * tau), the elastic weight, and the
-    excited population.
+    Returns (lams, amps, elastic): C_inc(tau) = sum_k amps[:, k] *
+    exp(lams[:, k] tau) and elastic = |<sigma->_ss|^2, so that at tau = 0
+    amps.sum(axis=1) + elastic is the excited population.
     """
-    x_ss = steady_state(system)
-    u, v, w = x_ss
+    drift, pump = _drift_stack(t1, t2, detuning, rabis)
+    x_ss = _steady(drift, pump)
+    u, v, w = x_ss.T
     rho_ee = 0.5 * (1.0 + w)
     sig = 0.5 * (u + 1j * v)  # <sigma->_ss = rho_eg
-    h0 = np.array([rho_ee, 1j * rho_ee, -sig])
-    h_ss = x_ss.astype(complex) * sig
-    lams, vecs = np.linalg.eig(system.drift)
-    coeff = np.linalg.solve(vecs, h0 - h_ss)
-    amps = 0.5 * (vecs[0, :] - 1j * vecs[1, :]) * coeff
-    return lams, amps, abs(sig) ** 2, rho_ee
+    h0 = np.stack([rho_ee, 1j * rho_ee, -sig], axis=1)
+    lams, vecs = np.linalg.eig(drift)
+    coeff = np.linalg.solve(vecs, (h0 - x_ss * sig[:, None])[..., None])[..., 0]
+    amps = 0.5 * (vecs[:, 0, :] - 1j * vecs[:, 1, :]) * coeff
+    return lams, amps, np.abs(sig) ** 2
+
+
+def _pole_sum(nu: np.ndarray, lams: np.ndarray, amps: np.ndarray):
+    """Stack mean of 2 Re sum_k amps/(i nu - lams) at angular frequencies nu.
+
+    With lams = -g + i w a term is (Re a g + Im a (nu - w)) / (g^2 +
+    (nu - w)^2), summed in real arithmetic over chunks of the grid.
+    Returns the mean and each member's minimum and maximum over nu.
+    """
+    g, w, ai = -lams.real.T, lams.imag.T, 2.0 * amps.imag.T
+    ag = 2.0 * amps.real.T * g
+    mean = np.empty(nu.size)
+    lo, hi = np.full(len(lams), np.inf), np.full(len(lams), -np.inf)
+    step = max(1, 32768 // lams.size)  # grid rows per chunk of 32768 terms
+    for at in range(0, nu.size, step):
+        rows = 0.0
+        for k in range(3):
+            d = nu[at : at + step, None] - w[k]
+            rows = rows + (ag[k] + ai[k] * d) / (g[k] * g[k] + d * d)
+        mean[at : at + step] = rows.mean(axis=1)
+        lo, hi = np.minimum(lo, rows.min(axis=0)), np.maximum(hi, rows.max(axis=0))
+    return mean, lo, hi
+
+
+def _mean_spectrum(emitter: EmitterParams, detuning: float, rabis, grid) -> Spectrum:
+    """Mean of the Mollow spectra of a stack of half Rabis at one detuning.
+
+    The grid must cover the splitting of the largest half Rabi as in
+    mollow_spectrum, and each member must pass the non-negativity floor
+    of Spectrum on its own.
+    """
+    grid = np.asarray(grid, dtype=float)
+    span = 2.0 * np.max(rabis) + 5.0 / (TWO_PI * emitter.t2_ns)
+    lo, hi = detuning - span, detuning + span
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if grid.min() > lo + tol or grid.max() < hi - tol:
+        raise CoverageError(
+            f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
+            f"[{lo:g}, {hi:g}] GHz around the drive"
+        )
+    lams, amps, elastic = _poles(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
+    intensity, low, high = _pole_sum(TWO_PI * (grid - detuning), lams, amps)
+    if np.any(low < -1e-9 * np.maximum(high, 1e-300)):
+        raise ValidationError("negative intensity below the numerical floor")
+    weight = float(elastic.mean())
+    return Spectrum(grid, intensity, weight, ((detuning, weight),))
 
 
 def mollow_spectrum(
@@ -144,42 +196,19 @@ def mollow_spectrum(
     The elastic (Rayleigh) line at the drive frequency is returned as a
     discrete weight, not folded into the sampled intensity.
     """
-    grid = np.asarray(grid, dtype=float)
-    span = 2.0 * drive.rabi + 5.0 / (TWO_PI * emitter.t2_ns)
-    lo = drive.detuning - span
-    hi = drive.detuning + span
-    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if grid.min() > lo + tol or grid.max() < hi - tol:
-        raise CoverageError(
-            f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
-            f"[{lo:g}, {hi:g}] GHz around the drive"
-        )
-    system = build_bloch(emitter, drive)
-    lams, amps, elastic, _ = _coherence_modes(system)
-    nu = TWO_PI * (grid - drive.detuning)
-    resolvent = amps[None, :] / (1j * nu[:, None] - lams[None, :])
-    intensity = 2.0 * np.real(resolvent.sum(axis=1))
-    return Spectrum(
-        freq=grid,
-        intensity=intensity,
-        elastic_weight=elastic,
-        elastic_lines=((drive.detuning, elastic),),
-    )
+    return _mean_spectrum(emitter, drive.detuning, drive.rabi, grid)
 
 
 def mollow_shape(emitter: EmitterParams, drive: DriveField, grid) -> np.ndarray:
     """Incoherent spectral shape on an arbitrary grid.
 
-    Same resolvent sum as mollow_spectrum but without the coverage
+    Same pole sum as mollow_spectrum but without the coverage
     pre-check or elastic bookkeeping; meant for overlaying fitted
     models on measured grids.
     """
-    grid = np.asarray(grid, dtype=float)
-    system = build_bloch(emitter, drive)
-    lams, amps, _, _ = _coherence_modes(system)
-    nu = TWO_PI * (grid - drive.detuning)
-    resolvent = amps[None, :] / (1j * nu[:, None] - lams[None, :])
-    return 2.0 * np.real(resolvent.sum(axis=1))
+    lams, amps, _ = _poles(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
+    nu = TWO_PI * (np.asarray(grid, dtype=float) - drive.detuning)
+    return _pole_sum(nu, lams, amps)[0]
 
 
 @dataclass(frozen=True)
@@ -230,20 +259,10 @@ def fit_mollow(
         raise ValidationError("need at least 16 samples (4 per parameter)")
     t2_max = 2.0 * t1_ps
 
-    def model(p):
-        omega = max(p[0], 0.0)
-        t2 = min(max(p[1], 1e-3), t2_max)
-        emitter = EmitterParams(t1=t1_ps, t2=t2)
-        drive = DriveField(detuning=detuning, rabi=omega)
-        system = build_bloch(emitter, drive)
-        lams, amps, _, _ = _coherence_modes(system)
-        nu = TWO_PI * (freq - detuning)
-        resolvent = amps[None, :] / (1j * nu[:, None] - lams[None, :])
-        shape = 2.0 * np.real(resolvent.sum(axis=1))
-        return p[2] * shape + p[3]
-
     def residual(p):
-        return model(p) - data
+        emitter = EmitterParams(t1=t1_ps, t2=min(max(p[1], 1e-3), t2_max))
+        drive = DriveField(detuning=detuning, rabi=max(p[0], 0.0))
+        return p[2] * mollow_shape(emitter, drive, freq) + p[3] - data
 
     result = gauss_newton(residual, np.asarray(guess, dtype=float), max_iter=max_iter)
     p = result.params

@@ -198,6 +198,7 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         orders=orders,
         workers=args.workers,
         prominence_frac=prominence,
+        strict=args.strict,
     )
     csvio.write_curve(
         os.path.join(args.out, "subharmonics.csv"),
@@ -212,8 +213,14 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
             f"(bare {dip.unshifted_ghz:.4f}, formula shift "
             f"{dip.formula_shift_ghz:+.4f})"
         )
-    print(f"wrote subharmonics.csv ({axis.size} points) and dip_report.csv")
-    return {"n_dips": len(scan.dips)}
+    print(
+        f"wrote subharmonics.csv ({axis.size} points) and dip_report.csv; "
+        f"{len(scan.failures)} failed rows"
+    )
+    extra = {"n_dips": len(scan.dips), "n_failures": len(scan.failures)}
+    for i, (d3, msg) in enumerate(scan.failures):
+        extra[f"failure_{i}"] = f"delta3={d3!r}: {msg}"
+    return extra
 
 
 def _cmd_degenerate(args, cfg: ConfigFile):

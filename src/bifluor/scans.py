@@ -81,13 +81,17 @@ def _row_task(args):
         return idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
 
 
-def _run_rows(tasks, workers: int):
+def _run_rows(tasks, workers: int, axis):
+    """Good rows as (index, intensity, elastic), failures as (axis value, error)."""
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_row_task, tasks))
-    return [_row_task(t) for t in tasks]
+            rows = list(pool.map(_row_task, tasks))
+    else:
+        rows = [_row_task(t) for t in tasks]
+    failures = tuple((float(axis[r[0]]), r[3]) for r in rows if r[3] is not None)
+    return [r[:3] for r in rows if r[3] is None], failures
 
 
 @dataclass(frozen=True)
@@ -137,22 +141,18 @@ def detuning_map(
         weak = DriveField(detuning=d2 - 2.0 * strong.rabi, rabi=weak_rabi)
         drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
         tasks.append((i, emitter, drive, grid, strict))
-    rows = _run_rows(tasks, workers)
+    rows, failures = _run_rows(tasks, workers, delta2_values)
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
-    failures = []
-    for idx, row, ew, err in rows:
-        if err is None:
-            intensity[idx] = row
-            elastic[idx] = ew
-        else:
-            failures.append((float(delta2_values[idx]), err))
+    for idx, row, ew in rows:
+        intensity[idx] = row
+        elastic[idx] = ew
     return ScanResult2D(
         delta2=delta2_values,
         freq=grid,
         intensity=intensity,
         elastic_weight=elastic,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
@@ -200,6 +200,17 @@ def _central_weight(delta1, rabi, g, delta2):
     return (np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq
 
 
+def _vertex(x, y, i):
+    """Vertex of the parabola through points i - 1..i + 1 if it opens upward."""
+    if not 0 < i < len(x) - 1:
+        return None
+    (x1, x2, x3), (y1, y2, y3) = x[i - 1 : i + 2], y[i - 1 : i + 2]
+    denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
+    a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
+    b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
+    return -b / (2.0 * a) if a > 0.0 else None
+
+
 @dataclass(frozen=True)
 class Delta1Fit:
     delta1: float
@@ -223,15 +234,8 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     if d2.size < 5:
         raise ValidationError("need at least five finite curve points")
     i0 = int(np.argmin(y))
-    if 0 < i0 < d2.size - 1:
-        x1, x2, x3 = d2[i0 - 1 : i0 + 2]
-        y1, y2, y3 = y[i0 - 1 : i0 + 2]
-        denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
-        a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
-        b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
-        d1_init = -b / (2.0 * a) if a > 0.0 else d2[i0]
-    else:
-        d1_init = d2[i0]
+    vertex = _vertex(d2, y, i0)
+    d1_init = d2[i0] if vertex is None else vertex
 
     def model(p):
         d1, scale = p
@@ -270,6 +274,7 @@ class SubharmonicScan:
     dips: tuple[DipRecord, ...]
     alpha_squared: float
     orders: tuple[int, ...]
+    failures: tuple[tuple[float, str], ...]  # (delta3, message) of the NaN rows
 
     def __post_init__(self):
         self.delta3.setflags(write=False)
@@ -311,6 +316,7 @@ def subharmonic_scan(
     orders=(1, 2, 3, 4, 5),
     workers: int = 1,
     prominence_frac: float = 0.1,
+    strict: bool = False,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
@@ -320,7 +326,7 @@ def subharmonic_scan(
     appear where 2 Omega / n photon processes go resonant, displaced
     from the bare subharmonics by the ac Stark shift; each requested
     order is located with a local minimum search plus parabolic
-    refinement.
+    refinement.  ``strict`` is passed on to emission_spectrum.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
@@ -340,13 +346,12 @@ def subharmonic_scan(
     for i, d3 in enumerate(delta3_values):
         weak = DriveField(detuning=d3, rabi=g)
         drive = BichromaticDrive(strong=strong, weak=weak)
-        tasks.append((i, emitter, drive, grid, False))
-    rows = _run_rows(tasks, workers)
+        tasks.append((i, emitter, drive, grid, strict))
+    rows, failures = _run_rows(tasks, workers, delta3_values)
     trans = etalon.transmission(grid)
     intensity = np.full(delta3_values.size, np.nan)
-    for idx, row, _ew, err in rows:
-        if err is None:
-            intensity[idx] = np.trapezoid(row * trans, grid)
+    for idx, row, _ew in rows:
+        intensity[idx] = np.trapezoid(row * trans, grid)
 
     dips = []
     for n in orders:
@@ -381,17 +386,9 @@ def subharmonic_scan(
                 x[i] - base
             ) < abs(x[best] - base):
                 best = i
-        pos = x[best]
-        if 0 < best < x.size - 1:
-            x1, x2, x3 = x[best - 1 : best + 2]
-            y1, y2, y3 = y[best - 1 : best + 2]
-            denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
-            a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
-            b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
-            if a > 0.0:
-                vertex = -b / (2.0 * a)
-                if x1 <= vertex <= x3:
-                    pos = vertex
+        vertex = _vertex(x, y, best)
+        inside = vertex is not None and x[best - 1] <= vertex <= x[best + 1]
+        pos = vertex if inside else x[best]
         dips.append(
             DipRecord(
                 order=n,
@@ -406,6 +403,7 @@ def subharmonic_scan(
         dips=tuple(dips),
         alpha_squared=float(alpha_squared),
         orders=orders,
+        failures=failures,
     )
 
 
@@ -427,10 +425,11 @@ def degenerate_spectrum(
     sidebands into plateaus spanning 2 Omega (1 +- sqrt(alpha)).
 
     ``phase_average`` averages monochromatic spectra over ``n_phases``
-    phases; ``small_delta`` instead runs the bichromatic engine at a
-    tiny beat detuning epsilon (default one twentieth of the radiative
-    linewidth) so the phase is swept physically.  Both see the same
-    distribution.  ``strict`` is passed on to emission_spectrum.
+    phases in one stacked pole sum, on a grid covering the largest
+    effective splitting; ``small_delta`` instead runs the bichromatic
+    engine at a tiny beat detuning epsilon (default one twentieth of the
+    radiative linewidth) so the phase is swept physically.  Both see the
+    same distribution.  ``strict`` is passed on to emission_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(alpha) or alpha < 0.0:
@@ -438,27 +437,9 @@ def degenerate_spectrum(
     if method == "phase_average":
         if n_phases < 8:
             raise ValidationError("need at least eight phases to average")
-        amp = np.sqrt(alpha)
         phases = TWO_PI * np.arange(n_phases) / n_phases
-        total = np.zeros(grid.size)
-        elastic = 0.0
-        for phi in phases:
-            rabi_eff = strong.rabi * np.sqrt(
-                1.0 + alpha + 2.0 * amp * np.cos(phi)
-            )
-            spec = bloch.mollow_spectrum(
-                emitter, DriveField(detuning=strong.detuning, rabi=rabi_eff), grid
-            )
-            total += spec.intensity
-            elastic += spec.elastic_weight
-        total /= n_phases
-        elastic /= n_phases
-        return bloch.Spectrum(
-            freq=grid,
-            intensity=total,
-            elastic_weight=float(elastic),
-            elastic_lines=((strong.detuning, float(elastic)),),
-        )
+        rabis = strong.rabi * np.abs(1.0 + np.sqrt(alpha) * np.exp(1j * phases))
+        return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid)
     if method == "small_delta":
         lw = emitter.gamma_sp / TWO_PI
         if epsilon is None:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from oracles import brute_mollow_spectrum, window_weight
 from bifluor.bloch import (
+    _poles,
     build_bloch,
     fit_mollow,
     mollow_shape,
@@ -129,3 +132,27 @@ def test_fit_validates_input_shapes():
         fit_mollow(np.arange(8.0), np.arange(8.0), guess=(1, 400, 1, 0), t1_ps=390.0)
     with pytest.raises(ValidationError):
         fit_mollow(np.arange(20.0), np.arange(19.0), guess=(1, 400, 1, 0), t1_ps=390.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(200.0, 1000.0),  # T1, ps
+    st.floats(0.3, 1.0),  # T2 / (2 T1)
+    st.floats(-3.0, 3.0),  # detuning, GHz
+    st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6),  # half Rabis, GHz
+)
+def test_pole_amplitudes_sum_to_the_excited_population(t1, t2_ratio, detuning, rabis):
+    # C(0) = <sigma+ sigma-> = rho_ee: the incoherent amplitudes plus the
+    # elastic weight must add up to it for every member of the stack
+    em = EmitterParams(t1=t1, t2=t2_ratio * 2.0 * t1)
+    lams, amps, elastic = _poles(em.t1_ns, em.t2_ns, detuning, rabis)
+    assert lams.shape == amps.shape == (len(rabis), 3)
+    assert np.all(lams.real < 0.0)
+    for i, rabi in enumerate(rabis):
+        system = build_bloch(em, DriveField(detuning=detuning, rabi=rabi))
+        u, v, w = steady_state(system)
+        rho_ee = 0.5 * (1.0 + w)
+        total = amps[i].sum() + elastic[i]
+        assert total.real == pytest.approx(rho_ee, rel=1e-10)
+        assert abs(total.imag) <= 1e-10 * rho_ee
+        assert elastic[i] == pytest.approx((u * u + v * v) / 4.0, rel=1e-12)

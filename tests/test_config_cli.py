@@ -446,6 +446,30 @@ grid_step_ghz = 0.02
             assert cli.main(args) == 2
             assert "harmonic cutoff 4" in capsys.readouterr().err
 
+    def test_subharmonics_strict_lists_every_failed_row(self, tmp_path, monkeypatch):
+        # order-5 rows need a harmonic cutoff above 4, so every row hits it
+        monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+        text = SUBHARMONICS_CFG.replace(
+            "alpha_squared = 0\norders = 1\npoints_per_order = 5",
+            "alpha_squared = 0.359\norders = 5\npoints_per_order = 6",
+        )
+        cfg = write_cfg(tmp_path, text)
+        relaxed = tmp_path / "relaxed"
+        assert cli.main(["subharmonics", "--config", cfg, "--out", str(relaxed)]) == 0
+        meta = read_keyvalue(relaxed / "metadata.txt")
+        assert meta["n_failures"] == "0"
+        assert meta["n_warnings"] == "6"
+        assert all("TruncationWarning" in meta[f"warning_{i}"] for i in range(6))
+        strict = tmp_path / "strict"
+        args = ["subharmonics", "--config", cfg, "--out", str(strict), "--strict"]
+        assert cli.main(args) == 0
+        meta = read_keyvalue(strict / "metadata.txt")
+        assert meta["n_failures"] == "6"
+        assert meta["n_warnings"] == "0"
+        for i in range(6):
+            assert meta[f"failure_{i}"].startswith("delta3=")
+            assert "TruncationError" in meta[f"failure_{i}"]
+
     @pytest.mark.parametrize(
         "command, text, key",
         [

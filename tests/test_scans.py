@@ -192,6 +192,35 @@ class TestDegenerate:
         assert np.allclose(spec.intensity, ref.intensity, rtol=1e-12, atol=0.0)
         assert spec.elastic_weight == pytest.approx(ref.elastic_weight, rel=1e-12)
 
+    @pytest.mark.parametrize("n_phases", [8, 9, 256])
+    @pytest.mark.parametrize("alpha", [0.2, 0.36])
+    def test_phase_average_matches_a_per_phase_loop(self, emitter, alpha, n_phases):
+        strong_field = DriveField(detuning=0.4, rabi=2.9)
+        grid = np.round(np.arange(-1300, 1301) * 0.01, 2)
+        spec = degenerate_spectrum(emitter, strong_field, alpha, grid, n_phases=n_phases)
+        total, elastic = np.zeros(grid.size), 0.0
+        for k in range(n_phases):
+            phi = 2.0 * np.pi * k / n_phases
+            rabi = 2.9 * np.sqrt(1.0 + alpha + 2.0 * np.sqrt(alpha) * np.cos(phi))
+            one = mollow_spectrum(emitter, DriveField(detuning=0.4, rabi=rabi), grid)
+            total += one.intensity
+            elastic += one.elastic_weight
+        assert np.allclose(spec.intensity, total / n_phases, rtol=1e-12, atol=0.0)
+        assert spec.elastic_weight == pytest.approx(elastic / n_phases, rel=1e-12)
+        assert spec.elastic_lines == ((0.4, spec.elastic_weight),)
+
+    def test_phase_average_grid_must_cover_the_largest_splitting(self, emitter, strong):
+        alpha = 0.36
+        phases = 2.0 * np.pi * np.arange(256) / 256
+        rabis = 2.9 * np.sqrt(1.0 + alpha + 2.0 * np.sqrt(alpha) * np.cos(phases))
+        pad = 5.0 / (2.0 * np.pi * emitter.t2_ns)
+        half = 2.0 * rabis.mean() + pad + 0.1
+        assert half < 2.0 * rabis.max() + pad
+        grid = np.linspace(-half, half, 801)
+        mollow_spectrum(emitter, DriveField(detuning=0.0, rabi=rabis.mean()), grid)
+        with pytest.raises(CoverageError):
+            degenerate_spectrum(emitter, strong, alpha, grid)
+
     def test_central_line_survives_degenerate_driving(self, emitter, strong):
         grid = np.round(np.arange(-1300, 1301) * 0.01, 2)
         spec = degenerate_spectrum(emitter, strong, 0.36, grid)
