@@ -20,7 +20,7 @@ from scipy.signal import find_peaks
 from . import bloch
 from .dressed import subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
-from .errors import ConfigError, CoverageError, ValidationError
+from .errors import BifluorError, ConfigError, CoverageError, ValidationError
 from .fitting import gauss_newton
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 
@@ -77,7 +77,7 @@ def _row_task(args):
         state = periodic_steady_state(pl)
         spec = emission_spectrum(pl, state, grid, strict=strict)
         return idx, spec.intensity, float(spec.elastic_weight), None
-    except Exception as exc:  # noqa: BLE001 - reported per row
+    except BifluorError as exc:  # a numerical or input failure of this row only
         return idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
 
 

@@ -1,5 +1,7 @@
 """Bichromatic periodic steady state and its emission spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from bifluor.floquet import (
     emission_spectrum,
     periodic_steady_state,
 )
+from bifluor.scans import degenerate_spectrum
 
 # weight of the incoherent spectrum inside +-0.5 GHz of the drive, frozen
 # from the time-propagation oracle on the +-9 GHz, 0.01 GHz grid
@@ -136,6 +139,89 @@ def test_cutoff_ceiling_warns_and_strict_raises(emitter, monkeypatch):
     with pytest.raises(TruncationError) as info:
         emission_spectrum(pl, state, grid, strict=True)
     assert info.value.residual > 1e-8
+
+
+# --- cutoff selection: doubling on a subsample, the full grid as the gate
+
+WIDE_GRID = np.round(np.arange(-1200, 1201) * 0.01, 2)  # the small_delta grid
+
+
+@pytest.fixture()
+def resolvent_calls(monkeypatch):
+    """Every _sambe_resolvent call made during the test, as (pl, nu, cutoff)."""
+    calls = []
+    solve = floquet._sambe_resolvent
+
+    def spy(pl, seed, nu, cutoff):
+        calls.append((pl, nu, cutoff))
+        return solve(pl, seed, nu, cutoff)
+
+    monkeypatch.setattr(floquet, "_sambe_resolvent", spy)
+    return calls
+
+
+def small_delta(emitter, strong):
+    return degenerate_spectrum(emitter, strong, 0.36, WIDE_GRID, method="small_delta")
+
+
+def gate_residual(pl, nu, cutoff):
+    """Edge residual of one direct resolvent call on ``nu``."""
+    seed = floquet._incoherent_seed(periodic_steady_state(pl), cutoff)
+    return float(np.max(floquet._sambe_resolvent(pl, seed, nu, cutoff)[1]))
+
+
+@pytest.mark.parametrize("case", ["reference", "small_delta"])
+def test_one_full_grid_pass_at_the_smallest_passing_cutoff(
+    emitter, strong, drive, fine_grid, resolvent_calls, case
+):
+    if case == "reference":
+        pl, state = steady(emitter, drive)
+        emission_spectrum(pl, state, fine_grid)
+        grid = fine_grid
+    else:
+        small_delta(emitter, strong)
+        grid = WIDE_GRID
+    full = [call for call in resolvent_calls if call[1].size == grid.size]
+    assert len(full) == 1
+    assert len(resolvent_calls) > 1  # the doubling ran on the subsample
+    pl, nu, cutoff = full[0]
+    start = periodic_steady_state(pl).cutoff
+    assert cutoff == {"reference": 16, "small_delta": 256}[case]
+    assert cutoff > start
+    assert gate_residual(pl, nu, cutoff) <= 1e-8
+    assert gate_residual(pl, nu, cutoff // 2) > 1e-8
+
+
+def test_the_full_grid_gate_decides(emitter, strong, resolvent_calls, monkeypatch):
+    # a two-point subsample (the grid ends) picks too small a cutoff; the
+    # full-grid gate then doubles on to the same cutoff and the same bits
+    base = small_delta(emitter, strong)
+    monkeypatch.setattr(floquet, "SUBSAMPLE", 2)
+    resolvent_calls.clear()
+    coarse = small_delta(emitter, strong)
+    full = [k for _pl, nu, k in resolvent_calls if nu.size == WIDE_GRID.size]
+    assert len(full) > 1
+    assert full[-1] == 256
+    assert np.array_equal(coarse.intensity, base.intensity)
+
+
+def test_resolvent_memory_does_not_grow_with_the_cutoff(emitter):
+    lw = emitter.gamma_sp / (2.0 * np.pi)
+    drive = BichromaticDrive(  # the small_delta drive
+        strong=DriveField(detuning=0.0, rabi=2.9), weak=DriveField(detuning=lw / 20.0, rabi=0.87)
+    )
+    pl, state = steady(emitter, drive)
+    nu = 2.0 * np.pi * WIDE_GRID
+    peaks = {}
+    for cutoff in (16, 256):
+        seed = floquet._incoherent_seed(state, cutoff)
+        tracemalloc.start()
+        try:
+            floquet._sambe_resolvent(pl, seed, nu, cutoff)
+            peaks[cutoff] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[256] < 2.0 * peaks[16]
 
 
 def test_detector_response_broadens_but_conserves_weight(emitter, drive, fine_grid):

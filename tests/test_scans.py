@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bifluor import scans
 from bifluor.bloch import mollow_spectrum
 from bifluor.emitter import DriveField, EmitterParams
 from bifluor.errors import ConfigError, CoverageError, ValidationError
@@ -63,6 +64,14 @@ class TestDetuningMap:
         assert len(result.failures) == 2
         assert all("CoverageError" in msg for _d2, msg in result.failures)
         assert np.isnan(result.intensity).all()
+
+    def test_programming_errors_are_raised_not_reported(self, emitter, strong, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise TypeError("broken engine")
+
+        monkeypatch.setattr(scans, "emission_spectrum", broken)
+        with pytest.raises(TypeError, match="broken engine"):
+            detuning_map(emitter, strong, 0.87, np.array([0.0]), np.linspace(-9, 9, 37), workers=1)
 
     def test_argument_validation(self, emitter, strong):
         grid = np.linspace(-10, 10, 11)
