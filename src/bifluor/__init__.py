@@ -29,7 +29,6 @@ from .bloch import (
 from .dressed import (
     CentralAmplitude,
     DoublyDressedLines,
-    QuartetLadder,
     SinglyDressed,
     central_line_amplitude,
     doubly_dressed_lines,
@@ -42,7 +41,6 @@ from .emitter import (
     BichromaticDrive,
     DriveField,
     EmitterParams,
-    angular_consistency,
     derive_rates,
 )
 from .errors import (
@@ -87,7 +85,6 @@ __all__ = [
     "__version__",
     "TWO_PI",
     "derive_rates",
-    "angular_consistency",
     "EmitterParams",
     "DriveField",
     "BichromaticDrive",
@@ -111,7 +108,6 @@ __all__ = [
     "doubly_dressed_lines",
     "CentralAmplitude",
     "central_line_amplitude",
-    "QuartetLadder",
     "dressed_populations",
     "subharmonic_shift",
     "EtalonFilter",

@@ -8,12 +8,15 @@ are in angular units (rad/ns and 1/ns, see the emitter module).
 
 The emission spectrum comes from the quantum regression theorem: the
 two-time correlation C(tau) = <sigma+(t+tau) sigma-(t)> obeys the same
-drift as the Bloch vector, so the incoherent spectrum is a sum over its
-three poles.  Spectra are computed for a stack of drive strengths (one
-drive is a stack of one, the phase-averaged degenerate drive a stack
-of n_phases): one builder makes the drift matrices, one helper finds
-their poles and amplitudes, and one pole sum averages the spectra in
-real arithmetic over grid chunks of bounded memory.  Frequencies are
+drift as the Bloch vector, so the incoherent spectrum is twice the
+real part of its Laplace-domain resolvent, a quadratic over the cubic
+characteristic polynomial of the drift (no eigenvectors, so it stays
+exact where the drift matrix is defective).  Spectra are computed for
+a stack of drive strengths (one drive is a stack of one, the
+phase-averaged degenerate drive a weighted stack of distinct phases):
+one builder makes the drift matrices, one helper the polynomial
+coefficients, and one sum averages the spectra in real arithmetic over
+grid chunks of bounded memory.  Frequencies are
 quoted in GHz relative to the bare transition; the drive sits at the
 detuning Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2 +
 Delta1^2).
@@ -121,53 +124,69 @@ def steady_state(system: BlochSystem) -> np.ndarray:
     return _steady(system.drift, system.pump)
 
 
-def _poles(t1: float, t2: float, detuning: float, rabis):
-    """Poles of the regression problem for C(tau), one row per half Rabi.
+def _resolvent(t1: float, t2: float, detuning: float, rabis):
+    """Regression resolvent as a quadratic over a cubic, one column per half Rabi.
 
-    Returns (lams, amps, elastic): C_inc(tau) = sum_k amps[:, k] *
-    exp(lams[:, k] tau) and elastic = |<sigma->_ss|^2, so that at tau = 0
-    amps.sum(axis=1) + elastic is the excited population.
+    R(z) = c.(z - A)^-1 y0, with c = (1, -i, 0)/2, is the Laplace
+    transform of the incoherent C(tau); y0 = h0 - x_ss <sigma->_ss, where
+    h0 = (rho_ee, i rho_ee, -<sigma->_ss) is the Bloch vector of sigma-
+    rho_ss.  By Cayley-Hamilton adj(z - A) = z^2 + z (A + c2) + (A^2 +
+    c2 A + c1), so R = (n2 z^2 + n1 z + n0) / (z^3 + c2 z^2 + c1 z + c0).
+    Returns (den, num, elastic): den = (c2, c1, c0) real, num = (n2, n1,
+    n0) complex and elastic = |<sigma->_ss|^2; n2 + elastic = C(0) is
+    the excited population.
     """
-    drift, pump = _drift_stack(t1, t2, detuning, rabis)
-    x_ss = _steady(drift, pump)
+    a, pump = _drift_stack(t1, t2, detuning, rabis)
+    x_ss = _steady(a, pump)
     u, v, w = x_ss.T
     rho_ee = 0.5 * (1.0 + w)
     sig = 0.5 * (u + 1j * v)  # <sigma->_ss = rho_eg
-    h0 = np.stack([rho_ee, 1j * rho_ee, -sig], axis=1)
-    lams, vecs = np.linalg.eig(drift)
-    coeff = np.linalg.solve(vecs, (h0 - x_ss * sig[:, None])[..., None])[..., 0]
-    amps = 0.5 * (vecs[:, 0, :] - 1j * vecs[:, 1, :]) * coeff
-    return lams, amps, np.abs(sig) ** 2
+    y0 = np.stack([rho_ee, 1j * rho_ee, -sig], axis=1) - x_ss * sig[:, None]
+    c2 = -np.trace(a, axis1=1, axis2=2)
+    minors = ((0, 1), (0, 2), (1, 2))
+    c1 = sum(a[:, i, i] * a[:, j, j] - a[:, i, j] * a[:, j, i] for i, j in minors)
+    c0 = -np.linalg.det(a)
+    c = np.array([0.5, -0.5j, 0.0])
+    p = c @ a + c2[:, None] * c  # c (A + c2); Horner: c (A^2 + c2 A + c1) = p A + c1 c
+    q = (p[:, None, :] @ a)[:, 0] + c1[:, None] * c
+    num = np.stack([y0 @ c, np.sum(p * y0, axis=1), np.sum(q * y0, axis=1)])
+    return np.stack([c2, c1, c0]), num, np.abs(sig) ** 2
 
 
-def _pole_sum(nu: np.ndarray, lams: np.ndarray, amps: np.ndarray):
-    """Stack mean of 2 Re sum_k amps/(i nu - lams) at angular frequencies nu.
+def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
+    """Weighted stack mean of 2 Re R(i nu) at angular frequencies nu.
 
-    With lams = -g + i w a term is (Re a g + Im a (nu - w)) / (g^2 +
-    (nu - w)^2), summed in real arithmetic over chunks of the grid.
-    Returns the mean and each member's minimum and maximum over nu.
+    With z = i nu the cubic is (c0 - c2 nu^2) + i nu (c1 - nu^2) and the
+    quadratic (n0 - n2 nu^2) + i n1 nu, so 2 Re N/D is evaluated in real
+    arithmetic over chunks of the grid.  Returns the mean and each
+    member's minimum and maximum over nu.
     """
-    g, w, ai = -lams.real.T, lams.imag.T, 2.0 * amps.imag.T
-    ag = 2.0 * amps.real.T * g
+    c2, c1, c0 = den
+    n2, n1, n0 = 2.0 * num
     mean = np.empty(nu.size)
-    lo, hi = np.full(len(lams), np.inf), np.full(len(lams), -np.inf)
-    step = max(1, 32768 // lams.size)  # grid rows per chunk of 32768 terms
+    lo, hi = np.full(c2.size, np.inf), np.full(c2.size, -np.inf)
+    step = max(1, 8192 // c2.size)  # grid rows per chunk of 8192 terms
     for at in range(0, nu.size, step):
-        rows = 0.0
-        for k in range(3):
-            d = nu[at : at + step, None] - w[k]
-            rows = rows + (ag[k] + ai[k] * d) / (g[k] * g[k] + d * d)
-        mean[at : at + step] = rows.mean(axis=1)
+        x = nu[at : at + step, None]
+        x2 = x * x
+        dr, di = c0 - c2 * x2, x * (c1 - x2)
+        nr = n0.real - n2.real * x2 - n1.imag * x
+        ni = n0.imag - n2.imag * x2 + n1.real * x
+        rows = (nr * dr + ni * di) / (dr * dr + di * di)
+        mean[at : at + step] = rows @ weights
         lo, hi = np.minimum(lo, rows.min(axis=0)), np.maximum(hi, rows.max(axis=0))
     return mean, lo, hi
 
 
-def _mean_spectrum(emitter: EmitterParams, detuning: float, rabis, grid) -> Spectrum:
-    """Mean of the Mollow spectra of a stack of half Rabis at one detuning.
+def _mean_spectrum(
+    emitter: EmitterParams, detuning: float, rabis, grid, weights=None
+) -> Spectrum:
+    """Weighted mean of the Mollow spectra of a stack of half Rabis at one detuning.
 
-    The grid must cover the splitting of the largest half Rabi as in
-    mollow_spectrum, and each member must pass the non-negativity floor
-    of Spectrum on its own.
+    ``weights`` (default equal) are normalized here; intensity and
+    elastic weight are averaged with them.  The grid must cover the
+    splitting of the largest half Rabi as in mollow_spectrum, and each
+    member must pass the non-negativity floor of Spectrum on its own.
     """
     grid = np.asarray(grid, dtype=float)
     span = 2.0 * np.max(rabis) + 5.0 / (TWO_PI * emitter.t2_ns)
@@ -178,11 +197,13 @@ def _mean_spectrum(emitter: EmitterParams, detuning: float, rabis, grid) -> Spec
             f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
             f"[{lo:g}, {hi:g}] GHz around the drive"
         )
-    lams, amps, elastic = _poles(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
-    intensity, low, high = _pole_sum(TWO_PI * (grid - detuning), lams, amps)
+    den, num, elastic = _resolvent(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
+    weights = np.ones(elastic.size) if weights is None else np.asarray(weights, float)
+    weights = weights / weights.sum()
+    intensity, low, high = _resolvent_sum(TWO_PI * (grid - detuning), den, num, weights)
     if np.any(low < -1e-9 * np.maximum(high, 1e-300)):
         raise ValidationError("negative intensity below the numerical floor")
-    weight = float(elastic.mean())
+    weight = float(elastic @ weights)
     return Spectrum(grid, intensity, weight, ((detuning, weight),))
 
 
@@ -202,13 +223,13 @@ def mollow_spectrum(
 def mollow_shape(emitter: EmitterParams, drive: DriveField, grid) -> np.ndarray:
     """Incoherent spectral shape on an arbitrary grid.
 
-    Same pole sum as mollow_spectrum but without the coverage
+    Same resolvent as mollow_spectrum but without the coverage
     pre-check or elastic bookkeeping; meant for overlaying fitted
     models on measured grids.
     """
-    lams, amps, _ = _poles(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
+    den, num, _ = _resolvent(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
     nu = TWO_PI * (np.asarray(grid, dtype=float) - drive.detuning)
-    return _pole_sum(nu, lams, amps)[0]
+    return _resolvent_sum(nu, den, num, np.ones(1))[0]
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ weak field scans through the dressed resonance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ __all__ = [
     "doubly_dressed_lines",
     "CentralAmplitude",
     "central_line_amplitude",
-    "QuartetLadder",
     "dressed_populations",
     "subharmonic_shift",
 ]
@@ -272,59 +271,6 @@ def central_line_amplitude(rabi: float, g: float, delta2: float) -> CentralAmpli
         return CentralAmplitude(value=value, interference=False)
     lam = float(np.hypot(delta2, 2.0 * g))
     return CentralAmplitude(value=float(0.5 * delta2 / lam), interference=True)
-
-
-@dataclass(frozen=True)
-class QuartetLadder:
-    """Dense diagonalization route to the doubly-dressed quasienergies.
-
-    Builds the secular ladder of dressed pairs over ``rungs`` weak
-    harmonics on each side and diagonalizes it whole.  Agrees with the
-    closed forms to machine precision (the ladder is block diagonal)
-    and provides a truncation-invariance check for them.
-    """
-
-    drive: BichromaticDrive
-    rungs: int = 7
-    _matrix: np.ndarray = field(init=False, repr=False)
-    _mu0: float = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.rungs < 1:
-            raise ValidationError("need at least one ladder rung")
-        sd = singly_dressed(self.drive.strong)
-        s = TWO_PI * sd.splitting_ghz
-        delta = TWO_PI * self.drive.delta
-        d1 = TWO_PI * self.drive.strong.detuning
-        g = TWO_PI * 2.0 * self.drive.weak.rabi * np.sin(sd.theta) ** 2
-        d_pair = s + delta
-        e_mean = -0.5 * d1  # (E_u + E_l) / 2 in the rotating frame
-        n = 2 * self.rungs + 1
-        h = np.zeros((2 * n, 2 * n))
-        for i, m in enumerate(range(-self.rungs, self.rungs + 1)):
-            mu = e_mean + (m - 0.5) * delta
-            h[2 * i, 2 * i] = mu + 0.5 * d_pair
-            h[2 * i + 1, 2 * i + 1] = mu - 0.5 * d_pair
-            h[2 * i, 2 * i + 1] = g
-            h[2 * i + 1, 2 * i] = g
-        object.__setattr__(self, "_matrix", h)
-        object.__setattr__(self, "_mu0", e_mean - 0.5 * delta)
-        h.setflags(write=False)
-
-    def quasienergies(self) -> np.ndarray:
-        """All ladder quasienergies in GHz, ascending."""
-        return np.linalg.eigvalsh(self._matrix) / TWO_PI
-
-    def daughter_separation(self) -> float:
-        """Separation of the daughter lines (labels 4, 5) in GHz.
-
-        The daughters sit at plus and minus the gap of the central
-        rung, so their separation is twice that gap.
-        """
-        ev = np.linalg.eigvalsh(self._matrix)
-        near = np.argsort(np.abs(ev - self._mu0))[:2]
-        gap = abs(ev[near[0]] - ev[near[1]])
-        return float(2.0 * gap / TWO_PI)
 
 
 def dressed_populations(

@@ -24,7 +24,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "TWO_PI",
     "derive_rates",
-    "angular_consistency",
     "EmitterParams",
     "DriveField",
     "BichromaticDrive",
@@ -54,22 +53,6 @@ def derive_rates(t1: float, t2: float) -> tuple[float, float]:
             f"got t1={t1!r} ps, t2={t2!r} ps"
         )
     return 1000.0 / t1, 1000.0 / t2 - 500.0 / t1
-
-
-def angular_consistency(rabi2: float, gamma_sp: float) -> float:
-    """Dimensionless ratio of angular Rabi splitting to decay rate.
-
-    ``rabi2`` is the full Rabi splitting in GHz, ``gamma_sp`` the decay
-    rate in 1/ns; the ratio ``2*pi*rabi2 / gamma_sp`` is the usual
-    figure of merit for how deep into the strong-driving regime a
-    parameter set sits.  It only comes out right on the angular scale,
-    which is why this helper exists.
-    """
-    if rabi2 < 0.0:
-        raise ValidationError(f"rabi2 must be non-negative, got {rabi2!r}")
-    if gamma_sp <= 0.0:
-        raise ValidationError(f"gamma_sp must be positive, got {gamma_sp!r}")
-    return TWO_PI * rabi2 / gamma_sp
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,8 @@ def degenerate_spectrum(
     sidebands into plateaus spanning 2 Omega (1 +- sqrt(alpha)).
 
     ``phase_average`` averages monochromatic spectra over ``n_phases``
-    phases in one stacked pole sum, on a grid covering the largest
+    phases in one stacked resolvent sum (phases phi and 2 pi - phi
+    share one member of weight 2), on a grid covering the largest
     effective splitting; ``small_delta`` instead runs the bichromatic
     engine at a tiny beat detuning epsilon (default one twentieth of the
     radiative linewidth) so the phase is swept physically.  Both see the
@@ -437,9 +438,13 @@ def degenerate_spectrum(
     if method == "phase_average":
         if n_phases < 8:
             raise ValidationError("need at least eight phases to average")
-        phases = TWO_PI * np.arange(n_phases) / n_phases
+        # phases phi and 2 pi - phi give the same Rabi frequency, so only
+        # k = 0 .. n/2 are solved, the paired ones with weight 2
+        k = np.arange(n_phases // 2 + 1)
+        phases = TWO_PI * k / n_phases
         rabis = strong.rabi * np.abs(1.0 + np.sqrt(alpha) * np.exp(1j * phases))
-        return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid)
+        weights = np.where((k == 0) | (2 * k == n_phases), 1.0, 2.0)
+        return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid, weights)
     if method == "small_delta":
         lw = emitter.gamma_sp / TWO_PI
         if epsilon is None:

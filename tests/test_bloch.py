@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from oracles import brute_mollow_spectrum, window_weight
 from bifluor.bloch import (
-    _poles,
+    _mean_spectrum,
+    _resolvent,
     build_bloch,
     fit_mollow,
     mollow_shape,
@@ -134,25 +135,60 @@ def test_fit_validates_input_shapes():
         fit_mollow(np.arange(20.0), np.arange(19.0), guess=(1, 400, 1, 0), t1_ps=390.0)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
+def direct_spectrum(emitter, drive, grid):
+    """2 Re c.(i nu - A)^-1 y0 by one linear solve per grid frequency."""
+    system = build_bloch(emitter, drive)
+    u, v, w = steady_state(system)
+    rho_ee, sig = 0.5 * (1.0 + w), 0.5 * (u + 1j * v)
+    y0 = np.array([rho_ee, 1j * rho_ee, -sig]) - np.array([u, v, w]) * sig
+    nu = TWO_PI * (grid - drive.detuning)
+    y = np.linalg.solve(1j * nu[:, None, None] * np.eye(3) - system.drift, y0)
+    return np.real(y[:, 0] - 1j * y[:, 1])
+
+
+stack_draws = (
     st.floats(200.0, 1000.0),  # T1, ps
     st.floats(0.3, 1.0),  # T2 / (2 T1)
     st.floats(-3.0, 3.0),  # detuning, GHz
     st.lists(st.floats(0.05, 5.0), min_size=1, max_size=6),  # half Rabis, GHz
 )
-def test_pole_amplitudes_sum_to_the_excited_population(t1, t2_ratio, detuning, rabis):
-    # C(0) = <sigma+ sigma-> = rho_ee: the incoherent amplitudes plus the
-    # elastic weight must add up to it for every member of the stack
+
+
+@settings(max_examples=50, deadline=None)
+@given(*stack_draws)
+def test_resolvent_leading_coefficient_sums_to_the_excited_population(
+    t1, t2_ratio, detuning, rabis
+):
+    # lim z R(z) = C(0) - |<sigma->|^2: the z^2 numerator coefficient plus
+    # the elastic weight is rho_ee for every member of the stack, and the
+    # cubic is Hurwitz-stable, so the incoherent correlation decays
     em = EmitterParams(t1=t1, t2=t2_ratio * 2.0 * t1)
-    lams, amps, elastic = _poles(em.t1_ns, em.t2_ns, detuning, rabis)
-    assert lams.shape == amps.shape == (len(rabis), 3)
-    assert np.all(lams.real < 0.0)
+    (c2, c1, c0), num, elastic = _resolvent(em.t1_ns, em.t2_ns, detuning, rabis)
+    assert num.shape == (3, len(rabis))
+    assert np.all(c2 > 0.0) and np.all(c0 > 0.0) and np.all(c2 * c1 > c0)
     for i, rabi in enumerate(rabis):
         system = build_bloch(em, DriveField(detuning=detuning, rabi=rabi))
         u, v, w = steady_state(system)
         rho_ee = 0.5 * (1.0 + w)
-        total = amps[i].sum() + elastic[i]
+        total = num[0, i] + elastic[i]
         assert total.real == pytest.approx(rho_ee, rel=1e-10)
         assert abs(total.imag) <= 1e-10 * rho_ee
         assert elastic[i] == pytest.approx((u * u + v * v) / 4.0, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(*stack_draws)
+# exceptional point of the resonant drift matrix, half Rabi |1/T2 - 1/T1| / (8 pi)
+# for T1 = 390 ps, T2 = 424 ps: the eigenvector basis is defective there
+@example(390.0, 424.0 / 780.0, 0.0, [0.008181041462754626])
+def test_spectrum_matches_direct_solves(t1, t2_ratio, detuning, rabis):
+    em = EmitterParams(t1=t1, t2=t2_ratio * 2.0 * t1)
+    span = 2.0 * max(rabis) + 5.0 / (TWO_PI * em.t2_ns)
+    grid = detuning + np.linspace(-1.5 * span, 1.5 * span, 301)
+    direct = [direct_spectrum(em, DriveField(detuning, rabi), grid) for rabi in rabis]
+    for rabi, ref in zip(rabis, direct):
+        spec = mollow_spectrum(em, DriveField(detuning=detuning, rabi=rabi), grid)
+        assert np.max(np.abs(spec.intensity - ref)) <= 1e-12 * np.max(ref)
+    mean = np.mean(direct, axis=0)
+    stack = _mean_spectrum(em, detuning, rabis, grid)
+    assert np.max(np.abs(stack.intensity - mean)) <= 1e-12 * np.max(mean)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bifluor.dressed import (
-    QuartetLadder,
     central_line_amplitude,
     doubly_dressed_lines,
     dressed_populations,
@@ -87,10 +86,6 @@ def test_detuned_drive_keeps_line_pattern_consistent():
         assert 0.5 * (lines.line(hi).center_ghz + lines.line(lo).center_ghz) == (
             pytest.approx(lines.line(mid).center_ghz, abs=1e-12)
         )
-    # closed form agrees with the dense ladder diagonalization
-    assert QuartetLadder(drive).daughter_separation() == pytest.approx(
-        2.0 * lam, abs=1e-10
-    )
 
 
 def test_strong_weak_field_flags_nonsecular(emitter, strong):
@@ -124,27 +119,6 @@ def test_central_amplitude_validation():
         central_line_amplitude(2.9, -0.1, 0.0)
     with pytest.warns(NumericsWarning):
         central_line_amplitude(2.9, 2.0, 0.3)
-
-
-def test_ladder_matches_closed_form_quasienergies(drive):
-    ladder = QuartetLadder(drive, rungs=5)
-    ev = ladder.quasienergies()
-    delta = drive.delta
-    lam = np.hypot(5.8 + delta, 2.0 * 0.87)
-    expected = []
-    for m in range(-5, 6):
-        mu = (m - 0.5) * delta
-        expected.extend([mu - 0.5 * lam, mu + 0.5 * lam])
-    assert np.allclose(ev, np.sort(expected), atol=1e-12)
-
-
-def test_ladder_daughter_separation_and_rung_invariance(drive):
-    small = QuartetLadder(drive, rungs=3).daughter_separation()
-    large = QuartetLadder(drive, rungs=40).daughter_separation()
-    assert small == pytest.approx(2.0 * 0.6 * 2.9, abs=1e-12)
-    assert small == pytest.approx(large, abs=1e-12)
-    with pytest.raises(ValidationError):
-        QuartetLadder(drive, rungs=0)
 
 
 def test_populations_match_time_propagation_oracle(emitter, drive):

@@ -5,11 +5,9 @@ import math
 import pytest
 
 from bifluor.emitter import (
-    TWO_PI,
     BichromaticDrive,
     DriveField,
     EmitterParams,
-    angular_consistency,
     derive_rates,
 )
 from bifluor.errors import UnphysicalDephasingError, ValidationError
@@ -38,20 +36,6 @@ def test_coherence_beyond_radiative_limit_rejected():
 def test_nonpositive_lifetimes_rejected(t1, t2):
     with pytest.raises(ValidationError):
         derive_rates(t1, t2)
-
-
-def test_angular_consistency_reference_value():
-    gamma_sp, _ = derive_rates(390.0, 424.0)
-    ratio = angular_consistency(5.8, gamma_sp)
-    assert ratio == pytest.approx(TWO_PI * 5.8 / gamma_sp, rel=1e-15)
-    assert round(ratio, 2) == 14.21
-
-
-def test_angular_consistency_validation():
-    with pytest.raises(ValidationError):
-        angular_consistency(-1.0, 2.5)
-    with pytest.raises(ValidationError):
-        angular_consistency(5.8, 0.0)
 
 
 def test_emitter_params_expose_rates():
