@@ -13,13 +13,16 @@ real part of its Laplace-domain resolvent, a quadratic over the cubic
 characteristic polynomial of the drift (no eigenvectors, so it stays
 exact where the drift matrix is defective).  Spectra are computed for
 a stack of drive strengths (one drive is a stack of one, the
-phase-averaged degenerate drive a weighted stack of distinct phases):
-one builder makes the drift matrices, one helper the polynomial
-coefficients, and one sum averages the spectra in real arithmetic over
-grid chunks of bounded memory.  Frequencies are
-quoted in GHz relative to the bare transition; the drive sits at the
-detuning Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2 +
-Delta1^2).
+phase-averaged degenerate drive a weighted stack of distinct phases),
+each member optionally with its own T2: one builder makes the drift
+matrices, one helper the polynomial coefficients, and one sum weights
+the spectra in real arithmetic over grid chunks of bounded memory.
+The sum returns one weighted mean, or with a weight matrix one column
+per member: the triplet fit evaluates every (half Rabi, T2) point of a
+Gauss-Newton Jacobian as one stack with identity weights.  Frequencies
+are quoted in GHz relative to the bare transition; the drive sits at
+the detuning Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2
++ Delta1^2).
 """
 
 from __future__ import annotations
@@ -97,10 +100,15 @@ class Spectrum:
         intensity.setflags(write=False)
 
 
-def _drift_stack(t1: float, t2: float, detuning: float, rabis):
-    """(n, 3, 3) drift matrices, one per half Rabi (GHz), and the pump (t1, t2 in ns)."""
+def _drift_stack(t1: float, t2, detuning: float, rabis):
+    """(n, 3, 3) drift matrices, one per half Rabi (GHz), and the pump (t1, t2 in ns).
+
+    ``t2`` is a scalar or one coherence time per member, broadcast
+    against ``rabis``.
+    """
     d1 = TWO_PI * detuning
-    base = np.array([[-1.0 / t2, -d1, 0.0], [d1, -1.0 / t2, 0.0], [0.0, 0.0, -1.0 / t1]])
+    base = np.array([[0.0, -d1, 0.0], [d1, 0.0, 0.0], [0.0, 0.0, -1.0 / t1]])
+    base = base - np.diag([1.0, 1.0, 0.0]) / np.asarray(t2, dtype=float).reshape(-1, 1, 1)
     coupling = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, -2.0, 0.0]])
     om = TWO_PI * np.asarray(rabis, dtype=float).reshape(-1, 1, 1)
     return base + om * coupling, np.array([0.0, 0.0, -1.0 / t1])
@@ -124,8 +132,11 @@ def steady_state(system: BlochSystem) -> np.ndarray:
     return _steady(system.drift, system.pump)
 
 
-def _resolvent(t1: float, t2: float, detuning: float, rabis):
-    """Regression resolvent as a quadratic over a cubic, one column per half Rabi.
+def _resolvent(t1: float, t2, detuning: float, rabis):
+    """Regression resolvent as a quadratic over a cubic, one column per member.
+
+    Members are the half Rabis, each with its own ``t2`` if an array is
+    given (as in _drift_stack).
 
     R(z) = c.(z - A)^-1 y0, with c = (1, -i, 0)/2, is the Laplace
     transform of the incoherent C(tau); y0 = h0 - x_ss <sigma->_ss, where
@@ -154,16 +165,18 @@ def _resolvent(t1: float, t2: float, detuning: float, rabis):
 
 
 def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
-    """Weighted stack mean of 2 Re R(i nu) at angular frequencies nu.
+    """Weighted stack sums of 2 Re R(i nu) at angular frequencies nu.
 
     With z = i nu the cubic is (c0 - c2 nu^2) + i nu (c1 - nu^2) and the
     quadratic (n0 - n2 nu^2) + i n1 nu, so 2 Re N/D is evaluated in real
-    arithmetic over chunks of the grid.  Returns the mean and each
+    arithmetic over chunks of the grid.  ``weights`` of shape (n,) give
+    one (grid,) sum; an (n, m) matrix gives (grid, m) columns (the
+    identity returns every member's spectrum).  Also returns each
     member's minimum and maximum over nu.
     """
     c2, c1, c0 = den
     n2, n1, n0 = 2.0 * num
-    mean = np.empty(nu.size)
+    mean = np.empty(nu.shape + weights.shape[1:])
     lo, hi = np.full(c2.size, np.inf), np.full(c2.size, -np.inf)
     step = max(1, 8192 // c2.size)  # grid rows per chunk of 8192 terms
     for at in range(0, nu.size, step):
@@ -267,10 +280,14 @@ def fit_mollow(
     """Fit a Mollow-triplet model to sampled data.
 
     ``guess`` is (omega, t2_ps, amplitude, offset).  t1 and the drive
-    detuning are held fixed.  The starting half Rabi should be within
-    about 50% of the true value; outside that basin the damped
-    Gauss-Newton search may settle elsewhere.  Raises FitFailure (with
-    the last iterate attached) if the iteration limit is hit.
+    detuning are held fixed; the model is amplitude * mollow_shape +
+    offset with the half Rabi clamped at 0 and t2 into [1e-3, 2 t1] ps.
+    The starting half Rabi should be within about 50% of the true
+    value; outside that basin the damped Gauss-Newton search may settle
+    elsewhere.  Non-finite samples or guesses raise ValidationError
+    (naming the first bad sample).  Raises FitFailure (with the last
+    iterate attached) if the iteration limit is hit or no step is
+    accepted.
     """
     freq = np.asarray(freq, dtype=float)
     data = np.asarray(intensity, dtype=float)
@@ -278,14 +295,31 @@ def fit_mollow(
         raise ValidationError("freq and intensity must be matching 1d arrays")
     if freq.size < 16:
         raise ValidationError("need at least 16 samples (4 per parameter)")
+    bad = np.flatnonzero(~(np.isfinite(freq) & np.isfinite(data)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"freq and intensity must be finite; sample {i} has "
+            f"freq={freq[i]!r}, intensity={data[i]!r}"
+        )
+    guess = np.asarray(guess, dtype=float)
+    if not np.all(np.isfinite(guess)):
+        raise ValidationError(f"guess must be finite, got {tuple(guess)!r}")
     t2_max = 2.0 * t1_ps
+    # t1 and the detuning are fixed, so they are validated once here; the
+    # residual clamps each member to rabi >= 0 and t2 in [1e-3, 2 t1] ps
+    t1_ns = EmitterParams(t1=t1_ps, t2=t2_max).t1_ns
+    DriveField(detuning=detuning, rabi=0.0)
+    nu = TWO_PI * (freq - detuning)
 
-    def residual(p):
-        emitter = EmitterParams(t1=t1_ps, t2=min(max(p[1], 1e-3), t2_max))
-        drive = DriveField(detuning=detuning, rabi=max(p[0], 0.0))
-        return p[2] * mollow_shape(emitter, drive, freq) + p[3] - data
+    def residual(P):
+        rabis = np.maximum(P[:, 0], 0.0)
+        t2_ns = np.clip(P[:, 1], 1e-3, t2_max) / 1000.0
+        den, num, _ = _resolvent(t1_ns, t2_ns, detuning, rabis)
+        shapes = _resolvent_sum(nu, den, num, np.eye(len(P)))[0]
+        return P[:, 2:3] * shapes.T + P[:, 3:4] - data
 
-    result = gauss_newton(residual, np.asarray(guess, dtype=float), max_iter=max_iter)
+    result = gauss_newton(residual, guess, max_iter=max_iter)
     p = result.params
     n, k = freq.size, p.size
     jtj = result.jacobian.T @ result.jacobian

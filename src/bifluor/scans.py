@@ -246,8 +246,8 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     top = float(np.max(w0))
     scale_init = float(np.max(y) / top) if top > 0.0 else 1.0
 
-    def residual(p):
-        return model(p) - y
+    def residual(P):
+        return np.array([model(p) for p in P]) - y
 
     result = gauss_newton(residual, np.array([d1_init, scale_init]))
     return Delta1Fit(

@@ -1,5 +1,7 @@
 """Monochromatic Bloch dynamics, Mollow spectra, and the triplet fit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from scipy.integrate import simpson
 
 from oracles import brute_mollow_spectrum, window_weight
 from bifluor.bloch import (
+    _drift_stack,
     _mean_spectrum,
     _resolvent,
     build_bloch,
@@ -133,6 +136,69 @@ def test_fit_validates_input_shapes():
         fit_mollow(np.arange(8.0), np.arange(8.0), guess=(1, 400, 1, 0), t1_ps=390.0)
     with pytest.raises(ValidationError):
         fit_mollow(np.arange(20.0), np.arange(19.0), guess=(1, 400, 1, 0), t1_ps=390.0)
+
+
+def test_fit_rejects_non_finite_samples():
+    freq = np.linspace(-9.0, 9.0, 40)
+    data = np.ones(40)
+    data[[7, 12]] = np.nan
+    with pytest.raises(ValidationError, match="sample 7 "):
+        fit_mollow(freq, data, guess=(1, 400, 1, 0), t1_ps=390.0)
+    freq[3] = np.inf
+    with pytest.raises(ValidationError, match="sample 3 "):
+        fit_mollow(freq, data, guess=(1, 400, 1, 0), t1_ps=390.0)
+    with pytest.raises(ValidationError, match="guess must be finite"):
+        fit_mollow(np.arange(20.0), np.ones(20), guess=(np.nan, 400, 1, 0), t1_ps=390.0)
+
+
+class _Captured(Exception):
+    pass
+
+
+def fit_residual(freq, data, t1_ps, detuning):
+    """The stacked residual that fit_mollow hands to gauss_newton."""
+    seen = []
+
+    def capture(residual_fn, p0, **kwargs):
+        seen.append(residual_fn)
+        raise _Captured
+
+    with mock.patch("bifluor.bloch.gauss_newton", capture), pytest.raises(_Captured):
+        fit_mollow(freq, data, guess=(1.0, 1.0, 1.0, 0.0), t1_ps=t1_ps, detuning=detuning)
+    return seen[0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(200.0, 1000.0),  # T1, ps
+    st.floats(-3.0, 3.0),  # detuning, GHz
+    st.lists(
+        st.tuples(
+            st.floats(-1.0, 5.0),  # half Rabi, GHz (clamped at 0)
+            st.floats(0.0, 1.3),  # T2 / (2 T1) (clamped into [1e-3 ps, 2 T1])
+            st.floats(0.5, 2.0),  # amplitude
+            st.floats(-0.1, 0.1),  # offset
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+@example(390.0, 0.0, [(0.0, 1.0, 1.0, 0.0), (2.9, 424.0 / 780.0, 1.0, 0.0)])
+def test_stacked_fit_residual_matches_per_member_shapes(t1, detuning, members):
+    grid = np.linspace(detuning - 15.0, detuning + 15.0, 241)
+    data = 0.01 * np.cos(grid)
+    residual = fit_residual(grid, data, t1, detuning)
+    P = np.array([(rabi, ratio * 2.0 * t1, amp, off) for rabi, ratio, amp, off in members])
+    got = residual(P)
+    assert got.shape == (len(members), grid.size)
+    rabis = np.maximum(P[:, 0], 0.0)
+    t2s = np.clip(P[:, 1], 1e-3, 2.0 * t1)
+    drift, _ = _drift_stack(t1 / 1000.0, t2s / 1000.0, detuning, rabis)
+    for i, (rabi, t2, (amp, off)) in enumerate(zip(rabis, t2s, P[:, 2:])):
+        em, drive = EmitterParams(t1=t1, t2=t2), DriveField(detuning=detuning, rabi=rabi)
+        assert np.array_equal(drift[i], build_bloch(em, drive).drift)
+        shape = amp * mollow_shape(em, drive, grid)
+        assert np.max(np.abs(got[i] - (shape + off - data))) <= 1e-12 * np.max(np.abs(shape))
 
 
 def direct_spectrum(emitter, drive, grid):

@@ -407,6 +407,24 @@ grid_step_ghz = 0.02
         model_rows = (out / "fit_model.csv").read_text().splitlines()
         assert len(model_rows) == 722
 
+    def test_fit_rejects_non_finite_data_exits_one(self, tmp_path, emitter, strong, capsys):
+        grid = np.linspace(-9.0, 9.0, 181)
+        spec = mollow_spectrum(emitter, strong, grid)
+        data = tmp_path / "measured.csv"
+        csvio.write_spectrum(data, spec)
+        rows = data.read_text().splitlines()
+        rows[6] = rows[6].split(",")[0] + ",nan"  # sample 5 (after the header)
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_cfg(
+            tmp_path,
+            "[emitter]\nt1_ps = 390\n\n[fit]\nrabi2_guess_ghz = 5.0\nt2_guess_ps = 380\n",
+        )
+        code = cli.main(
+            ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert "sample 5 " in capsys.readouterr().err
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MOLLOW_CFG + "\n[scan]\nwindow_ghz = 0.5\n")
         assert cli.main(["mollow", "--config", cfg, "--out", str(tmp_path)]) == 1
