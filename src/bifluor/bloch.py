@@ -198,8 +198,9 @@ def _mean_spectrum(
 
     ``weights`` (default equal) are normalized here; intensity and
     elastic weight are averaged with them.  The grid must cover the
-    splitting of the largest half Rabi as in mollow_spectrum, and each
-    member must pass the non-negativity floor of Spectrum on its own.
+    splitting of the largest half Rabi as in mollow_spectrum.  Each
+    member's minimum must pass the floor of Spectrum against the largest
+    member peak, not its own: at equal powers the phase pi is noise.
     """
     grid = np.asarray(grid, dtype=float)
     span = 2.0 * np.max(rabis) + 5.0 / (TWO_PI * emitter.t2_ns)
@@ -214,7 +215,7 @@ def _mean_spectrum(
     weights = np.ones(elastic.size) if weights is None else np.asarray(weights, float)
     weights = weights / weights.sum()
     intensity, low, high = _resolvent_sum(TWO_PI * (grid - detuning), den, num, weights)
-    if np.any(low < -1e-9 * np.maximum(high, 1e-300)):
+    if np.any(low < -1e-9 * max(high.max(), 1e-300)):
         raise ValidationError("negative intensity below the numerical floor")
     weight = float(elastic @ weights)
     return Spectrum(grid, intensity, weight, ((detuning, weight),))
@@ -275,7 +276,6 @@ def fit_mollow(
     guess: tuple[float, float, float, float],
     t1_ps: float,
     detuning: float = 0.0,
-    max_iter: int = 200,
 ) -> MollowFit:
     """Fit a Mollow-triplet model to sampled data.
 
@@ -284,10 +284,11 @@ def fit_mollow(
     offset with the half Rabi clamped at 0 and t2 into [1e-3, 2 t1] ps.
     The starting half Rabi should be within about 50% of the true
     value; outside that basin the damped Gauss-Newton search may settle
-    elsewhere.  Non-finite samples or guesses raise ValidationError
-    (naming the first bad sample).  Raises FitFailure (with the last
-    iterate attached) if the iteration limit is hit or no step is
-    accepted.
+    elsewhere.  A fit ending on a lower clamp, where the model loses that
+    parameter, reports ``converged=False`` (t2 = 2 t1 is the radiative
+    limit and counts as converged).  Non-finite samples or guesses raise
+    ValidationError (naming the first bad sample); FitFailure (with the
+    last iterate) after 200 iterations or when no step is accepted.
     """
     freq = np.asarray(freq, dtype=float)
     data = np.asarray(intensity, dtype=float)
@@ -305,7 +306,7 @@ def fit_mollow(
     guess = np.asarray(guess, dtype=float)
     if not np.all(np.isfinite(guess)):
         raise ValidationError(f"guess must be finite, got {tuple(guess)!r}")
-    t2_max = 2.0 * t1_ps
+    t2_min, t2_max = 1e-3, 2.0 * t1_ps
     # t1 and the detuning are fixed, so they are validated once here; the
     # residual clamps each member to rabi >= 0 and t2 in [1e-3, 2 t1] ps
     t1_ns = EmitterParams(t1=t1_ps, t2=t2_max).t1_ns
@@ -314,12 +315,12 @@ def fit_mollow(
 
     def residual(P):
         rabis = np.maximum(P[:, 0], 0.0)
-        t2_ns = np.clip(P[:, 1], 1e-3, t2_max) / 1000.0
+        t2_ns = np.clip(P[:, 1], t2_min, t2_max) / 1000.0
         den, num, _ = _resolvent(t1_ns, t2_ns, detuning, rabis)
         shapes = _resolvent_sum(nu, den, num, np.eye(len(P)))[0]
         return P[:, 2:3] * shapes.T + P[:, 3:4] - data
 
-    result = gauss_newton(residual, guess, max_iter=max_iter)
+    result = gauss_newton(residual, guess)
     p = result.params
     n, k = freq.size, p.size
     jtj = result.jacobian.T @ result.jacobian
@@ -330,12 +331,12 @@ def fit_mollow(
     std = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return MollowFit(
         omega=max(p[0], 0.0),
-        t2_ps=min(max(p[1], 1e-3), t2_max),
+        t2_ps=min(max(p[1], t2_min), t2_max),
         amplitude=p[2],
         offset=p[3],
         std_errors=std,
         covariance=cov,
         residual_norm=float(np.sqrt(result.cost)),
         n_iter=result.n_iter,
-        converged=result.converged,
+        converged=bool(result.converged and p[0] > 0.0 and p[1] > t2_min),
     )

@@ -12,8 +12,11 @@ Six subcommands map onto the library layers:
 Every run reads one key=value config (--config), writes CSV products
 into --out, and records a metadata.txt with the package version,
 timestamps, effective settings (including defaults), any warnings, and
-a verbatim echo of the config.  Exit codes: 0 success, 1 validation or
-configuration problem, 2 numerical failure, 3 I/O failure.
+a verbatim echo of the config.  --strict exists only on the subcommands
+with a harmonic cutoff (spectrum, map, subharmonics, degenerate) and
+--workers only on the row scans (map, subharmonics); metadata.txt
+records the flags its subcommand has.  Exit codes: 0 success, 1
+validation or configuration problem, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import numpy as np
 from . import __version__, bloch, csvio
 from .config import (
     ConfigFile,
+    build_axis,
     build_bichromatic_drive,
     build_emitter,
     build_grid,
@@ -38,7 +42,7 @@ from .config import (
 )
 from .dressed import doubly_dressed_lines
 from .emitter import EmitterParams, DriveField
-from .errors import BifluorError, ConfigError
+from .errors import BifluorError
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 from .scans import (
     EtalonFilter,
@@ -73,9 +77,10 @@ def _write_metadata(args, cfg: ConfigFile, started: str, notes, extra=None):
         f"finished_utc={_utcnow()}",
         f"config_path={cfg.path}",
         f"out={args.out}",
-        f"strict={getattr(args, 'strict', False)}",
-        f"workers={getattr(args, 'workers', 1)}",
     ]
+    for flag in ("strict", "workers"):
+        if hasattr(args, flag):
+            lines.append(f"{flag}={getattr(args, flag)}")
     for key, val in (extra or {}).items():
         lines.append(f"{key}={val}")
     for key, val in cfg.effective().items():
@@ -85,16 +90,6 @@ def _write_metadata(args, cfg: ConfigFile, started: str, notes, extra=None):
         lines.append(f"warning_{i}={note}")
     text = "\n".join(lines) + "\n---config---\n" + cfg.text
     csvio.atomic_write_text(os.path.join(args.out, "metadata.txt"), text)
-
-
-def _axis_from_cfg(cfg: ConfigFile, prefix: str) -> np.ndarray:
-    lo = cfg.get_float(f"{prefix}_min_ghz")
-    hi = cfg.get_float(f"{prefix}_max_ghz")
-    step = cfg.get_float(f"{prefix}_step_ghz")
-    if step <= 0.0 or hi <= lo:
-        raise ConfigError(f"{cfg.path}: bad {prefix} axis (need min < max, step > 0)")
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
 
 
 def _cmd_mollow(args, cfg: ConfigFile):
@@ -135,7 +130,7 @@ def _cmd_map(args, cfg: ConfigFile):
     weak_rabi = weak_rabi_from_config(cfg, strong)
     phase = cfg.get_float("drive.relative_phase_rad", 0.0)
     grid = build_grid(cfg)
-    axis = _axis_from_cfg(cfg, "scan.delta2")
+    axis = build_axis(cfg, "scan.delta2")
     window = cfg.get_float("scan.window_ghz", 0.5)
     want_fit = cfg.get_bool("scan.fit_delta1", False)
     cfg.raise_on_unused()
@@ -184,7 +179,7 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         fwhm_ghz=cfg.get_float("etalon.fwhm_ghz"),
     )
     if cfg.has("scan.delta3_min_ghz"):
-        axis = _axis_from_cfg(cfg, "scan.delta3")
+        axis = build_axis(cfg, "scan.delta3")
     else:
         points = cfg.get_int("scan.points_per_order", 16)
         axis = subharmonic_axis(strong.rabi, orders, points, alpha_sq)
@@ -315,29 +310,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("mollow", "monochromatic emission spectrum"),
-        ("spectrum", "bichromatic emission spectrum and line list"),
-        ("map", "spectra versus the dressed detuning Delta2"),
-        ("subharmonics", "etalon-filtered subharmonic dip scan"),
-        ("degenerate", "equal-frequency two-field spectrum"),
-        ("fit", "fit Rabi splitting and T2 to a measured spectrum"),
+    # (name, help, has a harmonic cutoff, computes scan rows)
+    for name, help_text, cutoff, rows in (
+        ("mollow", "monochromatic emission spectrum", False, False),
+        ("spectrum", "bichromatic emission spectrum and line list", True, False),
+        ("map", "spectra versus the dressed detuning Delta2", True, True),
+        ("subharmonics", "etalon-filtered subharmonic dip scan", True, True),
+        ("degenerate", "equal-frequency two-field spectrum", True, False),
+        ("fit", "fit Rabi splitting and T2 to a measured spectrum", False, False),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value run configuration")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat a harmonic cutoff that reaches its ceiling without "
-            "converging as an error, not a warning",
-        )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="process count for scan rows (default: 1)",
-        )
+        if cutoff:
+            p.add_argument(
+                "--strict",
+                action="store_true",
+                help="treat a harmonic cutoff that reaches its ceiling without "
+                "converging as an error, not a warning",
+            )
+        if rows:
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="process count for scan rows (default: 1)",
+            )
         if name == "fit":
             p.add_argument("--data", required=True, help="measured spectrum CSV")
     return parser

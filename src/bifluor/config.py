@@ -28,6 +28,7 @@ __all__ = [
     "build_strong_drive",
     "build_bichromatic_drive",
     "weak_rabi_from_config",
+    "build_axis",
     "build_grid",
 ]
 
@@ -231,18 +232,25 @@ def build_bichromatic_drive(cfg: ConfigFile) -> BichromaticDrive:
     return BichromaticDrive(strong=strong, weak=weak, relative_phase=phase)
 
 
-def build_grid(cfg: ConfigFile) -> np.ndarray:
-    lo = cfg.get_float("numerics.grid_min_ghz")
-    hi = cfg.get_float("numerics.grid_max_ghz")
-    step = cfg.get_float("numerics.grid_step_ghz")
+def build_axis(cfg: ConfigFile, prefix: str) -> np.ndarray:
+    """Uniform axis, both ends included, from <prefix>_min_ghz, _max_ghz, _step_ghz."""
+    name = prefix.rpartition(".")[2]
+    lo = cfg.get_float(f"{prefix}_min_ghz")
+    hi = cfg.get_float(f"{prefix}_max_ghz")
+    step = cfg.get_float(f"{prefix}_step_ghz")
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ConfigError(f"{cfg.path}: {prefix} axis needs finite min, max and step")
     if step <= 0.0:
         raise ConfigError(
-            f"{cfg.path}:{cfg.line('numerics.grid_step_ghz')}: "
-            "grid_step_ghz must be positive"
+            f"{cfg.path}:{cfg.line(f'{prefix}_step_ghz')}: {name}_step_ghz must be positive"
         )
     if hi <= lo:
-        raise ConfigError(f"{cfg.path}: grid_max_ghz must exceed grid_min_ghz")
+        raise ConfigError(f"{cfg.path}: {name}_max_ghz must exceed {name}_min_ghz")
     count = int(round((hi - lo) / step)) + 1
-    if count > 2_000_000:
-        raise ConfigError(f"{cfg.path}: grid would hold {count} points")
+    if count > 2_000_000:  # refused before it is allocated
+        raise ConfigError(f"{cfg.path}: {name} would hold {count} points")
     return np.linspace(lo, hi, count)
+
+
+def build_grid(cfg: ConfigFile) -> np.ndarray:
+    return build_axis(cfg, "numerics.grid")

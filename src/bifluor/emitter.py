@@ -1,9 +1,10 @@
 """Parameter records and unit conventions for a driven two-level emitter.
 
-All public interfaces quote ordinary frequencies in gigahertz and times
-in picoseconds.  Internal dynamics (Bloch drift matrices, Liouvillians)
-run on the angular scale, radians per nanosecond, where decay rates and
-Rabi frequencies combine without stray 2*pi factors.  1 GHz of ordinary
+All public interfaces quote ordinary frequencies in gigahertz, measured
+from the emitter's transition frequency, and times in picoseconds.
+Internal dynamics (Bloch drift matrices, Liouvillians) run on the
+angular scale, radians per nanosecond, where decay rates and Rabi
+frequencies combine without stray 2*pi factors.  1 GHz of ordinary
 frequency is 2*pi rad/ns.
 
 Rabi convention: a drive record stores the half splitting.  A resonant
@@ -59,13 +60,11 @@ def derive_rates(t1: float, t2: float) -> tuple[float, float]:
 class EmitterParams:
     """Two-level emitter described by lifetimes in picoseconds.
 
-    ``omega0`` is the optical transition frequency offset in GHz; all
-    spectra are reported relative to it, so it defaults to zero.
+    Its transition frequency is the origin of every frequency axis.
     """
 
     t1: float
     t2: float
-    omega0: float = 0.0
 
     def __post_init__(self):
         derive_rates(self.t1, self.t2)
@@ -91,7 +90,7 @@ class EmitterParams:
 
 @dataclass(frozen=True)
 class DriveField:
-    """One monochromatic drive: detuning from omega0 and half Rabi, GHz."""
+    """One monochromatic drive: detuning from the transition and half Rabi, GHz."""
 
     detuning: float
     rabi: float
@@ -117,7 +116,7 @@ class BichromaticDrive:
     * ``delta2``: weak-field detuning from the lower Rabi sideband,
       Delta2 = Delta3 + 2*Omega, the natural axis for the doubly
       dressed spectra (stated for Delta1 = 0, where the sideband sits
-      at omega0 - 2*Omega).
+      2*Omega below the transition).
     """
 
     strong: DriveField

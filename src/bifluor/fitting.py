@@ -9,13 +9,13 @@ p +- h_i e_i with h_i = max(1e-6 |p_i|, 1e-8 scale_i), so a model that
 evaluates its stack at once pays its fixed cost once per Jacobian.
 
 Levenberg damping with Marquardt scaling: the normal equations are
-solved as (J^T J + lam * diag(J^T J)) step = -J^T r, the damping is
-multiplied by 10 whenever a step increases the residual or gives a
-non-finite one (and the step is rejected) and by 0.1 whenever it
-decreases (step accepted).  Iteration stops when the relative change
-of the squared residual drops below ``rel_tol`` or the step norm below
-``step_tol``; running out of iterations, or 60 rejected steps in a
-row, raises FitFailure carrying the last iterate.
+solved as (J^T J + lam * diag(J^T J)) step = -J^T r, with lam starting
+at _DAMPING; lam is multiplied by 10 whenever a step increases the
+residual or gives a non-finite one (and the step is rejected) and by
+0.1 whenever it decreases (step accepted).  Iteration stops when the
+relative change of the squared residual drops below _REL_TOL or the
+step norm below _STEP_TOL; running out of iterations, or 60 rejected
+steps in a row, raises FitFailure carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ import numpy as np
 from .errors import FitFailure
 
 __all__ = ["GaussNewtonResult", "gauss_newton"]
+
+_DAMPING = 1e-3  # initial Levenberg damping
+_REL_TOL = 1e-10  # relative cost change that ends the iteration
+_STEP_TOL = 1e-12  # step norm that ends the iteration
 
 
 @dataclass
@@ -46,20 +50,13 @@ def _jacobian(residual_fn, p, scale):
     return ((r[: p.size] - r[p.size :]) / (2.0 * h[:, None])).T
 
 
-def gauss_newton(
-    residual_fn,
-    p0,
-    max_iter: int = 200,
-    damping: float = 1e-3,
-    rel_tol: float = 1e-10,
-    step_tol: float = 1e-12,
-) -> GaussNewtonResult:
+def gauss_newton(residual_fn, p0, max_iter: int = 200) -> GaussNewtonResult:
     """Minimize ||residual_fn(p[None])[0]||^2 starting from p0."""
     p = np.asarray(p0, dtype=float).copy()
     scale = np.maximum(np.abs(p), 1.0)
     r = residual_fn(p[None])[0]
     cost = float(r @ r)
-    lam = damping
+    lam = _DAMPING
     J = _jacobian(residual_fn, p, scale)
     for it in range(1, max_iter + 1):
         A = J.T @ J
@@ -89,7 +86,7 @@ def gauss_newton(
         r = r_new
         lam = max(lam * 0.1, 1e-14)
         J = _jacobian(residual_fn, p, scale)
-        if rel_drop < rel_tol or float(np.linalg.norm(step)) < step_tol:
+        if rel_drop < _REL_TOL or float(np.linalg.norm(step)) < _STEP_TOL:
             return GaussNewtonResult(p, r, J, cost, it, True)
     last = GaussNewtonResult(p, r, J, cost, max_iter, False)
     raise FitFailure(

@@ -14,7 +14,8 @@ The periodic steady state is found by harmonic balance,
     (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0,
 
 solved with a block-tridiagonal (Thomas) recursion and normalized by
-trace(rho_0) = 1.
+trace(rho_0) = 1.  The cutoff doubles until the edge harmonics fall
+below EDGE_TOL of rho_0.
 
 The emission spectrum needs the beat-phase average of the two-time
 correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
@@ -34,7 +35,10 @@ coordinates, where the generator's trace mode (and with it every
 singular block at nu = -k delta) is absent.  The harmonic cutoff is
 chosen on a subsample of the grid, then the whole grid is solved in one
 batched Thomas sweep that keeps, per frequency, only the last elimination
-step and the affine map from x_0 to the edge harmonic.
+step and the affine map from x_0 to the edge harmonic.  A cutoff is
+accepted when both edge harmonics are within EDGE_TOL of the largest
+x_0 on the grid: the steady state and the spectrum share that one
+tolerance.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -89,8 +93,10 @@ TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 _FROM_TRACELESS = np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 _DIAG3 = np.arange(3)
 
+EDGE_TOL = 1e-8  # edge harmonic over the central one at which a cutoff is accepted
 CUTOFF_CEILING = 4096  # largest harmonic cutoff of the spectrum resolvent
 SUBSAMPLE = 64  # grid points on which the resolvent cutoff is chosen
+_STEADY_CEILING = 4096  # largest harmonic cutoff of the periodic steady state
 
 
 def spre(a: np.ndarray) -> np.ndarray:
@@ -234,34 +240,29 @@ def _solve_balance(pl: PeriodicLiouvillian, cutoff: int) -> np.ndarray:
     return harm
 
 
-def periodic_steady_state(
-    pl: PeriodicLiouvillian,
-    cutoff: int = 8,
-    ceiling: int = 4096,
-    tol: float = 1e-8,
-) -> PeriodicState:
+def periodic_steady_state(pl: PeriodicLiouvillian, cutoff: int = 8) -> PeriodicState:
     """Periodic steady state with automatic cutoff doubling.
 
-    The cutoff doubles until the edge harmonic falls below
-    ``tol * ||rho_0||``; hitting the ceiling without convergence raises
-    TruncationError carrying the residual edge norm.
+    The cutoff doubles from ``cutoff`` until the edge harmonic falls
+    below ``EDGE_TOL * ||rho_0||``; reaching _STEADY_CEILING without
+    convergence raises TruncationError carrying the residual edge norm.
     """
-    if cutoff < 1 or ceiling < cutoff:
-        raise ValidationError("need 1 <= cutoff <= ceiling")
+    if not 1 <= cutoff <= _STEADY_CEILING:
+        raise ValidationError(f"need 1 <= cutoff <= {_STEADY_CEILING}")
     k = cutoff
     while True:
         harm = _solve_balance(pl, k)
         ref = np.linalg.norm(harm[k])
         edge = max(np.linalg.norm(harm[0]), np.linalg.norm(harm[-1]))
-        if edge <= tol * ref:
+        if edge <= EDGE_TOL * ref:
             return PeriodicState(harmonics=harm, cutoff=k, delta=pl.delta)
-        if k >= ceiling:
+        if k >= _STEADY_CEILING:
             raise TruncationError(
                 f"harmonic balance not converged at cutoff {k}: "
                 f"edge harmonic {edge:.3e} vs rho_0 {ref:.3e}",
                 residual=float(edge / ref),
             )
-        k = min(2 * k, ceiling)
+        k = min(2 * k, _STEADY_CEILING)
 
 
 def _filon_weights(theta: np.ndarray):
@@ -434,23 +435,19 @@ def emission_spectrum(
     state: PeriodicState,
     grid: np.ndarray,
     strict: bool = False,
-    detector_fwhm: float | None = None,
 ) -> Spectrum:
-    """Beat-averaged emission spectrum on ``grid`` (GHz, relative to omega0).
+    """Beat-averaged emission spectrum on ``grid`` (GHz, relative to the transition).
 
     Solves the Laplace-domain correlation in harmonic (Sambe) space at
     every grid frequency at once (see the module docstring).  The
     harmonic cutoff starts at ``state.cutoff`` and doubles until both
-    edge harmonics fall below 1e-8 of the largest x_0: first on SUBSAMPLE
+    edge harmonics fall below EDGE_TOL of the largest x_0: first on SUBSAMPLE
     grid points, then on the whole grid, solved once at the cutoff so
     chosen and again at doubled cutoffs while it fails; at CUTOFF_CEILING
     without convergence a TruncationWarning is issued (a TruncationError
     under ``strict``) and the ceiling result is returned.  The elastic
     lines are |<sigma->_m|^2 at Delta1 - m delta for every steady-state
     harmonic m.
-
-    ``detector_fwhm``, if set, convolves the result with a Gaussian of
-    that width (GHz); the grid must then be uniform.
     """
     grid = np.asarray(grid, dtype=float)
     emitter, drive = pl.emitter, pl.drive
@@ -475,12 +472,12 @@ def emission_spectrum(
         seed = _incoherent_seed(state, cutoff)
         # the cutoff doubles on the subsample; the full grid is the gate
         on_sub = sub.size < nu.size and cutoff < CUTOFF_CEILING
-        if on_sub and np.max(_sambe_resolvent(pl, seed, nu[sub], cutoff)[1]) > 1e-8:
+        if on_sub and np.max(_sambe_resolvent(pl, seed, nu[sub], cutoff)[1]) > EDGE_TOL:
             cutoff = min(2 * cutoff, CUTOFF_CEILING)
             continue
         x0, edge = _sambe_resolvent(pl, seed, nu, cutoff)
         resid = float(np.max(edge))
-        if resid <= 1e-8:
+        if resid <= EDGE_TOL:
             break
         if cutoff >= CUTOFF_CEILING:
             msg = (
@@ -495,18 +492,6 @@ def emission_spectrum(
         sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])
     # the ge component, whose trace against sigma+ gives the correlation
     intensity = 2.0 * x0[1].real
-
-    if detector_fwhm is not None:
-        steps = np.diff(grid)
-        if not np.allclose(steps, steps[0], rtol=1e-9):
-            raise ValidationError("detector convolution needs a uniform grid")
-        sigma = detector_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        half_w = int(np.ceil(4.0 * sigma / steps[0]))
-        x = np.arange(-half_w, half_w + 1) * steps[0]
-        kernel = np.exp(-0.5 * (x / sigma) ** 2)
-        kernel /= kernel.sum()
-        intensity = np.convolve(intensity, kernel, mode="same")
-
     weights = np.abs(state.harmonics[:, 1]) ** 2
     orders = np.arange(-state.cutoff, state.cutoff + 1)
     delta_ghz = pl.delta / TWO_PI

@@ -131,6 +131,29 @@ def test_fit_recovers_parameters_from_noisy_data(emitter):
     assert fit.std_errors.shape == (4,)
 
 
+def test_fit_on_a_lower_clamp_is_not_converged():
+    # from this guess the search collapses onto the clamps half Rabi 0 and
+    # t2 1e-3 ps, where the model no longer depends on either parameter
+    em = EmitterParams(t1=390.0, t2=424.0)
+    freq = np.linspace(-14.0, 14.0, 701)
+    data = 3.0 * mollow_shape(em, DriveField(detuning=-1.0, rabi=1.0), freq) + 0.1
+    guess = (1.3, 500.0, float(data.max()), 0.0)
+    fit = fit_mollow(freq, data, guess=guess, t1_ps=390.0, detuning=-1.0)
+    assert fit.omega == 0.0 and fit.t2_ps == 1e-3
+    assert fit.converged is False
+
+
+def test_radiatively_limited_fit_is_converged():
+    # t2 = 2 t1 sits on the upper clamp, which is physics, not a failure
+    em = EmitterParams(t1=390.0, t2=780.0)
+    freq = np.linspace(-14.0, 14.0, 701)
+    data = 2.0 * mollow_shape(em, DriveField(detuning=0.0, rabi=2.9), freq)
+    fit = fit_mollow(freq, data, guess=(2.5, 700.0, float(data.max()), 0.0), t1_ps=390.0)
+    assert fit.converged is True
+    assert fit.rabi2 == pytest.approx(5.8, rel=1e-6)
+    assert fit.t2_ps == pytest.approx(780.0, rel=1e-6)
+
+
 def test_fit_validates_input_shapes():
     with pytest.raises(ValidationError):
         fit_mollow(np.arange(8.0), np.arange(8.0), guess=(1, 400, 1, 0), t1_ps=390.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bifluor import cli, csvio, floquet
-from bifluor.bloch import mollow_spectrum
+from bifluor.bloch import Spectrum, mollow_shape, mollow_spectrum
 from bifluor.config import (
     build_bichromatic_drive,
     build_grid,
@@ -13,6 +13,7 @@ from bifluor.config import (
     weak_rabi_from_config,
 )
 from bifluor.dressed import doubly_dressed_lines
+from bifluor.emitter import DriveField
 from bifluor.errors import ConfigError, ValidationError
 from bifluor.scans import DipRecord, ScanResult2D
 
@@ -268,38 +269,7 @@ points_per_order = 5
 """
 
 
-def write_cfg(tmp_path, text, name="run.ini"):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
-
-
-class TestCli:
-    def test_mollow_writes_spectrum_and_metadata(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, MOLLOW_CFG)
-        out = tmp_path / "out"
-        assert cli.main(["mollow", "--config", cfg, "--out", str(out)]) == 0
-        freq, intensity = csvio.read_spectrum(out / "mollow.csv")
-        assert freq.size == 361
-        assert intensity.max() > 0.0
-        meta = (out / "metadata.txt").read_text()
-        assert "command=mollow" in meta
-        assert "config.drive.detuning_strong_ghz (default)=0.0" in meta
-        assert "---config---" in meta and "rabi2_strong_ghz = 5.8" in meta
-        assert "wrote mollow.csv" in capsys.readouterr().out
-
-    def test_spectrum_writes_line_list(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SPECTRUM_CFG)
-        out = tmp_path / "out"
-        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-        freq, _ = csvio.read_spectrum(out / "spectrum.csv")
-        assert freq.size == 181
-        rows = (out / "lines.csv").read_text().splitlines()
-        assert len(rows) == 10
-        assert "daughter separation 3.48" in capsys.readouterr().out
-
-    def test_map_with_detuning_fit(self, tmp_path, capsys):
-        text = """\
+MAP_CFG = """\
 [emitter]
 t1_ps = 390
 t2_ps = 424
@@ -319,7 +289,42 @@ delta2_max_ghz = 1
 delta2_step_ghz = 0.5
 fit_delta1 = true
 """
-        cfg = write_cfg(tmp_path, text)
+
+
+def write_cfg(tmp_path, text, name="run.ini"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+class TestCli:
+    def test_mollow_writes_spectrum_and_metadata(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MOLLOW_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["mollow", "--config", cfg, "--out", str(out)]) == 0
+        freq, intensity = csvio.read_spectrum(out / "mollow.csv")
+        assert freq.size == 361
+        assert intensity.max() > 0.0
+        meta = (out / "metadata.txt").read_text()
+        assert "command=mollow" in meta
+        assert "config.drive.detuning_strong_ghz (default)=0.0" in meta
+        assert "---config---" in meta and "rabi2_strong_ghz = 5.8" in meta
+        keys = read_keyvalue(out / "metadata.txt")
+        assert "workers" not in keys and "strict" not in keys  # mollow has neither flag
+        assert "wrote mollow.csv" in capsys.readouterr().out
+
+    def test_spectrum_writes_line_list(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SPECTRUM_CFG)
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        freq, _ = csvio.read_spectrum(out / "spectrum.csv")
+        assert freq.size == 181
+        rows = (out / "lines.csv").read_text().splitlines()
+        assert len(rows) == 10
+        assert "daughter separation 3.48" in capsys.readouterr().out
+
+    def test_map_with_detuning_fit(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MAP_CFG)
         out = tmp_path / "out"
         assert cli.main(["map", "--config", cfg, "--out", str(out)]) == 0
         map_rows = (out / "map.csv").read_text().splitlines()
@@ -331,6 +336,7 @@ fit_delta1 = true
         meta = (out / "metadata.txt").read_text()
         assert "n_failures=0" in meta
         assert "fit_delta1_ghz=" in meta
+        assert "\nstrict=False\nworkers=1\n" in meta
         assert "fitted strong detuning" in capsys.readouterr().out
 
     def test_subharmonics_without_weak_field_reports_no_dips(self, tmp_path):
@@ -406,6 +412,22 @@ grid_step_ghz = 0.02
         assert float(result["t2_ps"]) == pytest.approx(424.0, rel=1e-3)
         model_rows = (out / "fit_model.csv").read_text().splitlines()
         assert len(model_rows) == 722
+
+    def test_fit_on_a_lower_clamp_reports_not_converged(self, tmp_path, emitter):
+        freq = np.linspace(-14.0, 14.0, 701)
+        model = mollow_shape(emitter, DriveField(detuning=-1.0, rabi=1.0), freq)
+        data = tmp_path / "measured.csv"
+        csvio.write_spectrum(data, Spectrum(freq, 3.0 * model + 0.1, 0.0))
+        cfg = write_cfg(
+            tmp_path,
+            "[emitter]\nt1_ps = 390\n\n[fit]\ndetuning_ghz = -1\nrabi2_guess_ghz = 2.6\n"
+            f"t2_guess_ps = 500\namplitude_guess = {float(3.0 * model.max() + 0.1)!r}\n"
+            "offset_guess = 0\n",
+        )
+        out = tmp_path / "out"
+        code = cli.main(["fit", "--config", cfg, "--data", str(data), "--out", str(out)])
+        assert code == 0
+        assert read_keyvalue(out / "fit_result.txt")["converged"] == "False"
 
     def test_fit_rejects_non_finite_data_exits_one(self, tmp_path, emitter, strong, capsys):
         grid = np.linspace(-9.0, 9.0, 181)
@@ -509,6 +531,42 @@ grid_step_ghz = 0.02
         err = capsys.readouterr().err
         assert f"key {key} was removed with the time-stepping spectrum engine" in err
 
+    def test_degenerate_at_equal_powers(self, tmp_path):
+        text = DEGENERATE_CFG.replace("alpha = 0.25", "alpha = 1")
+        text = text.replace("-12", "-15").replace("= 12", "= 15").replace("0.02", "0.05")
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["degenerate", "--config", cfg, "--out", str(out)]) == 0
+        freq, intensity = csvio.read_spectrum(out / "degenerate.csv")
+        assert freq.size == 601 and np.all(np.isfinite(intensity))
+
+    @pytest.mark.parametrize(
+        "command, step, message",
+        [
+            ("map", "delta2_step_ghz = 1e-7", "delta2 would hold 20000001 points"),
+            ("map", "delta2_step_ghz = nan", "needs finite min, max and step"),
+            ("map", "delta2_step_ghz = 0", "delta2_step_ghz must be positive"),
+            ("subharmonics", "delta3_step_ghz = 1e-6", "delta3 would hold 12000001 points"),
+        ],
+        ids=["oversized", "not-finite", "zero-step", "oversized-delta3"],
+    )
+    def test_bad_scan_axis_exits_one_before_any_row(
+        self, tmp_path, capsys, monkeypatch, command, step, message
+    ):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a scan started")
+
+        monkeypatch.setattr(cli, "detuning_map", no_rows)
+        monkeypatch.setattr(cli, "subharmonic_scan", no_rows)
+        if command == "map":
+            text = MAP_CFG.replace("delta2_step_ghz = 0.5", step)
+        else:
+            axis = f"delta3_min_ghz = -6\ndelta3_max_ghz = 6\n{step}"
+            text = SUBHARMONICS_CFG.replace("points_per_order = 5", axis)
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
     def test_phase_average_keeps_its_phase_count(self, tmp_path):
         cfg = write_cfg(tmp_path, DEGENERATE_CFG + "n_phases = 64\n")
         out = tmp_path / "out"
@@ -522,3 +580,29 @@ grid_step_ghz = 0.02
         with pytest.raises(SystemExit):
             cli.main(["mollow"])  # --config is required
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("mollow", "--strict"),
+            ("fit", "--strict"),
+            ("mollow", "--workers=2"),
+            ("spectrum", "--workers=2"),
+            ("degenerate", "--workers=2"),
+            ("fit", "--workers=2"),
+        ],
+    )
+    def test_flags_exist_only_where_they_act(self, capsys, command, flag):
+        # --strict needs a harmonic cutoff, --workers a row scan
+        data = ["--data", "d.csv"] if command == "fit" else []
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", "run.ini", *data, flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["map", "subharmonics"])
+    def test_row_scans_take_workers_and_strict(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--config", "run.ini", "--workers", "2", "--strict"]
+        )
+        assert args.workers == 2 and args.strict is True

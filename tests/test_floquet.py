@@ -224,16 +224,6 @@ def test_resolvent_memory_does_not_grow_with_the_cutoff(emitter):
     assert peaks[256] < 2.0 * peaks[16]
 
 
-def test_detector_response_broadens_but_conserves_weight(emitter, drive, fine_grid):
-    pl, state = steady(emitter, drive)
-    bare = emission_spectrum(pl, state, fine_grid)
-    seen = emission_spectrum(pl, state, fine_grid, detector_fwhm=0.3)
-    assert seen.intensity.max() < bare.intensity.max()
-    assert np.trapezoid(seen.intensity, fine_grid) == pytest.approx(
-        np.trapezoid(bare.intensity, fine_grid), rel=1e-3
-    )
-
-
 # --- invariants of the resolvent engine, over emitter and drive parameters
 
 lifetimes = st.tuples(st.floats(200.0, 1000.0), st.floats(0.3, 1.0)).map(

@@ -218,6 +218,23 @@ class TestDegenerate:
         assert spec.elastic_weight == pytest.approx(elastic / n_phases, rel=1e-12)
         assert spec.elastic_lines == ((0.4, spec.elastic_weight),)
 
+    def test_equal_powers_average_with_a_vanishing_member(self, emitter, strong):
+        # at alpha = 1 the phase pi cancels the drive: that member's
+        # spectrum is rounding noise around zero, so the loop adds zero
+        n_phases = 16
+        grid = np.linspace(-15.0, 15.0, 601)
+        spec = degenerate_spectrum(emitter, strong, 1.0, grid, n_phases=n_phases)
+        total, elastic = np.zeros(grid.size), 0.0
+        for k in range(n_phases):
+            if 2 * k == n_phases:
+                continue
+            rabi = 2.9 * np.sqrt(2.0 + 2.0 * np.cos(2.0 * np.pi * k / n_phases))
+            one = mollow_spectrum(emitter, DriveField(detuning=0.0, rabi=rabi), grid)
+            total += one.intensity
+            elastic += one.elastic_weight
+        assert np.allclose(spec.intensity, total / n_phases, rtol=1e-12, atol=0.0)
+        assert spec.elastic_weight == pytest.approx(elastic / n_phases, rel=1e-12)
+
     def test_phase_average_grid_must_cover_the_largest_splitting(self, emitter, strong):
         alpha = 0.36
         phases = 2.0 * np.pi * np.arange(256) / 256
