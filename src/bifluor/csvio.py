@@ -59,20 +59,20 @@ def write_keyvalue(path, entries: dict) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_spectrum(path, spectrum, meta: dict | None = None) -> None:
+def write_spectrum(path, spectrum) -> None:
     """Spectrum CSV (freq_ghz,intensity) plus a .meta.txt sidecar.
 
     The sidecar records the elastic weight and the discrete elastic
-    lines, which cannot live on the frequency grid, along with any
-    caller-provided metadata.
+    lines, which cannot live on the frequency grid.
     """
     rows = ["freq_ghz,intensity"]
     for f, s in zip(spectrum.freq, spectrum.intensity):
         rows.append(f"{_fmt(f)},{_fmt(s)}")
     atomic_write_text(path, "\n".join(rows) + "\n")
-    sidecar = dict(meta or {})
-    sidecar["elastic_weight"] = spectrum.elastic_weight
-    sidecar["n_elastic_lines"] = len(spectrum.elastic_lines)
+    sidecar = {
+        "elastic_weight": spectrum.elastic_weight,
+        "n_elastic_lines": len(spectrum.elastic_lines),
+    }
     for i, (freq, weight) in enumerate(spectrum.elastic_lines):
         sidecar[f"elastic_line_{i}_freq_ghz"] = freq
         sidecar[f"elastic_line_{i}_weight"] = weight

@@ -11,11 +11,13 @@ column-stacked into vectors (rho_gg, rho_eg, rho_ge, rho_ee).
 
 The periodic steady state is found by harmonic balance,
 
-    (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0,
+    (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0.
 
-solved with a block-tridiagonal (Thomas) recursion and normalized by
-trace(rho_0) = 1.  The cutoff doubles until the edge harmonics fall
-below EDGE_TOL of rho_0.
+Only rho_0 carries trace, and trace 1, so the unknowns are the traceless
+parts x_k = rho_k - |g><g| delta_k0 in coordinates (x_eg, x_ge, x_ee):
+|g><g| moves to the right-hand side of rows k = 0, +-1, and one banded
+solve (five sub- and super-diagonals) gives every harmonic.  The cutoff
+doubles until the edge harmonics fall below EDGE_TOL of rho_0.
 
 The emission spectrum needs the beat-phase average of the two-time
 correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
@@ -29,16 +31,15 @@ and the spectrum is 2 Re x_0[ge] (Ficek & Freedhoff, PRA 48, 3092
 (1993)).  The seed x_k(0) = sigma- rho_k - sum_m s_m rho_{k-m}, with
 s_m = <sigma->_m, removes the non-decaying coherent part; what it
 removes are the elastic lines |s_m|^2 at Delta1 - m delta, reported
-exactly as discrete weights.  Only rho_0 carries trace, so the seed and
-every x_k are traceless; the solve runs in the three traceless
-coordinates, where the generator's trace mode (and with it every
-singular block at nu = -k delta) is absent.  The harmonic cutoff is
-chosen on a subsample of the grid, then the whole grid is solved in one
-batched Thomas sweep that keeps, per frequency, only the last elimination
-step and the affine map from x_0 to the edge harmonic.  A cutoff is
-accepted when both edge harmonics are within EDGE_TOL of the largest
-x_0 on the grid: the steady state and the spectrum share that one
-tolerance.
+exactly as discrete weights.  The seed and every x_k are traceless, so
+this solve too runs in the traceless coordinates, where the generator's
+trace mode (and with it every singular block at nu = -k delta) is
+absent.  The harmonic cutoff is chosen on a subsample of the grid, then
+the whole grid is solved in one batched Thomas sweep that keeps, per
+frequency, only the last elimination step and the affine map from x_0
+to the edge harmonic.  A cutoff is accepted when both edge harmonics
+are within EDGE_TOL of the largest x_0 on the grid: the steady state
+and the spectrum share that one tolerance.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -53,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401 - bench/layers.py wraps this name
+from scipy.linalg import solve_banded
 
 from .bloch import Spectrum
 from .emitter import TWO_PI, BichromaticDrive, EmitterParams
@@ -88,7 +90,6 @@ SIGMA_M = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_P = SIGMA_M.conj().T
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 NUMBER = SIGMA_P @ SIGMA_M
-TRACE_ROW = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
 # a traceless vector x is _FROM_TRACELESS @ x[1:], since x_gg = -x_ee
 _FROM_TRACELESS = np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 _DIAG3 = np.arange(3)
@@ -204,39 +205,34 @@ def build_periodic_liouvillian(
     )
 
 
+def _traceless(pl: PeriodicLiouvillian):
+    """l0, lp, lm acting on the traceless subspace, coordinates (x_eg, x_ge, x_ee)."""
+    return tuple(op[1:] @ _FROM_TRACELESS for op in (pl.l0, pl.lp, pl.lm))
+
+
 def _solve_balance(pl: PeriodicLiouvillian, cutoff: int) -> np.ndarray:
-    """Harmonic balance at a fixed cutoff via block-tridiagonal recursion."""
-    eye = np.eye(4, dtype=complex)
+    """Harmonic balance at a fixed cutoff >= 1 as one banded solve.
 
-    def diag_block(k: int) -> np.ndarray:
-        return pl.l0 - 1j * k * pl.delta * eye
-
+    The unknowns are the traceless parts x_k of the module docstring,
+    ordered k = -cutoff .. cutoff with three coordinates each.
+    """
+    l0, lp, lm = _traceless(pl)
+    n = 2 * cutoff + 1
+    i, j = np.indices((3, 3))
+    # band storage ab[5 + row - col, col], viewed as (band, block, coordinate)
+    ab = np.zeros((11, n, 3), dtype=complex)
+    ab[5 + i - j, :, j] = l0[:, :, None]
+    ab[5] -= 1j * pl.delta * np.arange(-cutoff, cutoff + 1)[:, None]
+    ab[8 + i - j, :-1, j] = lp[:, :, None]  # x_{k-1} in row k
+    ab[2 + i - j, 1:, j] = lm[:, :, None]  # x_{k+1} in row k
+    rhs = np.zeros((n, 3), dtype=complex)
+    rhs[cutoff - 1 : cutoff + 2] = -np.stack([pl.lm[1:, 0], pl.l0[1:, 0], pl.lp[1:, 0]])
     try:
-        up = [None] * (cutoff + 1)  # up[k] maps rho_{k-1} -> rho_k
-        carry = None
-        for k in range(cutoff, 0, -1):
-            m = diag_block(k) if carry is None else diag_block(k) + pl.lm @ carry
-            carry = -np.linalg.solve(m, pl.lp)
-            up[k] = carry
-        down = [None] * (cutoff + 1)  # down[k] maps rho_{-k+1} -> rho_{-k}
-        carry = None
-        for k in range(cutoff, 0, -1):
-            m = diag_block(-k) if carry is None else diag_block(-k) + pl.lp @ carry
-            carry = -np.linalg.solve(m, pl.lm)
-            down[k] = carry
-        center = pl.l0.copy()
-        if cutoff >= 1:
-            center = center + pl.lm @ up[1] + pl.lp @ down[1]
-        center[0, :] = TRACE_ROW
-        rhs = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        rho0 = np.linalg.solve(center, rhs)
+        x = solve_banded((5, 5), ab.reshape(11, -1), rhs.ravel())
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"harmonic balance solve failed: {exc}") from exc
-    harm = np.zeros((2 * cutoff + 1, 4), dtype=complex)
-    harm[cutoff] = rho0
-    for k in range(1, cutoff + 1):
-        harm[cutoff + k] = up[k] @ harm[cutoff + k - 1]
-        harm[cutoff - k] = down[k] @ harm[cutoff - k + 1]
+    harm = x.reshape(n, 3) @ _FROM_TRACELESS.T
+    harm[cutoff, 0] += 1.0
     return harm
 
 
@@ -411,7 +407,7 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, 
     (3, n), and at every nu the larger norm of the two edge harmonics
     over the largest norm of x_0 on ``nu``, shape (n,).
     """
-    l0, lp, lm = (op[1:] @ _FROM_TRACELESS for op in (pl.l0, pl.lp, pl.lm))
+    l0, lp, lm = _traceless(pl)
     rhs = seed[cutoff][:, None]
     if cutoff > 0:
         up = _half_sweep(nu, pl.delta, l0, seed, cutoff, +1, lp, lm)

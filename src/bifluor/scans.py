@@ -6,12 +6,14 @@ subharmonic dip scan behind an etalon, and the equal-frequency
 (degenerate) drive limit where the beat note disappears and only the
 relative phase survives.
 
-Scans parallelize over axis points with processes; rows are assembled
-by index, so results are identical for any worker count.
+Scans parallelize over axis points with processes; rows are assembled,
+and their warnings issued, by index, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,23 +68,31 @@ class EtalonFilter:
         s = np.sin(np.pi * (freq - self.center_ghz) / self.fsr_ghz)
         return 1.0 / (1.0 + coef * s * s)
 
-    __call__ = transmission
-
 
 def _row_task(args):
-    """Worker for scan rows; returns (index, intensity, elastic, error)."""
+    """Worker for scan rows.
+
+    Returns (index, intensity, elastic, error, warnings), the warnings as
+    (category, message) pairs, so that rows run in a pool lose none.
+    """
     idx, emitter, drive, grid, strict = args
-    try:
-        pl = build_periodic_liouvillian(emitter, drive)
-        state = periodic_steady_state(pl)
-        spec = emission_spectrum(pl, state, grid, strict=strict)
-        return idx, spec.intensity, float(spec.elastic_weight), None
-    except BifluorError as exc:  # a numerical or input failure of this row only
-        return idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pl = build_periodic_liouvillian(emitter, drive)
+            state = periodic_steady_state(pl)
+            spec = emission_spectrum(pl, state, grid, strict=strict)
+            row = idx, spec.intensity, float(spec.elastic_weight), None
+        except BifluorError as exc:  # a numerical or input failure of this row only
+            row = idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
+    return *row, [(w.category, str(w.message)) for w in caught]
 
 
 def _run_rows(tasks, workers: int, axis):
-    """Good rows as (index, intensity, elastic), failures as (axis value, error)."""
+    """Good rows as (index, intensity, elastic), failures as (axis value, error).
+
+    The rows' warnings are issued again here, in row order.
+    """
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -90,6 +100,9 @@ def _run_rows(tasks, workers: int, axis):
             rows = list(pool.map(_row_task, tasks))
     else:
         rows = [_row_task(t) for t in tasks]
+    for row in rows:
+        for category, message in row[4]:
+            warnings.warn(message, category, stacklevel=3)
     failures = tuple((float(axis[r[0]]), r[3]) for r in rows if r[3] is not None)
     return [r[:3] for r in rows if r[3] is None], failures
 
@@ -281,6 +294,14 @@ class SubharmonicScan:
         self.intensity.setflags(write=False)
 
 
+def _orders(orders) -> tuple[int, ...]:
+    """Distinct subharmonic orders in ascending order; each must be at least 1."""
+    orders = tuple(sorted(set(int(n) for n in orders)))
+    if any(n < 1 for n in orders):
+        raise ValidationError("subharmonic orders must be positive")
+    return orders
+
+
 def subharmonic_axis(
     rabi: float,
     orders=(1, 2, 3, 4, 5),
@@ -296,7 +317,7 @@ def subharmonic_axis(
     if rabi <= 0.0:
         raise ValidationError("rabi must be positive")
     points = []
-    for n in sorted(set(int(n) for n in orders)):
+    for n in _orders(orders):
         base = 2.0 * rabi / n
         shift = subharmonic_shift(n, rabi, alpha_squared)
         gap_next = base - 2.0 * rabi / (n + 1)
@@ -331,9 +352,7 @@ def subharmonic_scan(
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
         raise ValidationError("delta3_values must hold at least five points")
-    orders = tuple(sorted(set(int(n) for n in orders)))
-    if any(n < 1 for n in orders):
-        raise ValidationError("subharmonic orders must be positive")
+    orders = _orders(orders)
     alpha = float(np.sqrt(alpha_squared))
     g = 0.5 * alpha * strong.rabi
     lw = 1.0 / (TWO_PI * emitter.t2_ns)

@@ -1,5 +1,7 @@
 """Config parsing, CSV round trips, and the six CLI subcommands."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -509,6 +511,30 @@ grid_step_ghz = 0.02
         for i in range(6):
             assert meta[f"failure_{i}"].startswith("delta3=")
             assert "TruncationError" in meta[f"failure_{i}"]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched ceiling reaches pool workers only through fork",
+    )
+    def test_map_warnings_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        # every row needs a harmonic cutoff above 4, so each warns once
+        monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        notes = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            args = ["map", "--config", cfg, "--out", str(out), "--workers", str(workers)]
+            assert cli.main(args) == 0
+            meta = read_keyvalue(out / "metadata.txt")
+            notes[workers] = [meta[f"warning_{i}"] for i in range(int(meta["n_warnings"]))]
+        assert len(notes[1]) == 5
+        assert all("TruncationWarning" in note for note in notes[1])
+        assert notes[2] == notes[1]
+
+    def test_subharmonic_order_zero_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SUBHARMONICS_CFG.replace("orders = 1", "orders = 0"))
+        assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "subharmonic orders must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, text, key",

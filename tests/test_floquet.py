@@ -319,3 +319,21 @@ def test_elastic_weight_is_the_beat_averaged_coherence(d3, weak_rabi):
     coherence = state.rho_at(times)[1]  # <sigma->(t) = rho_eg(t)
     assert spec.elastic_weight == pytest.approx(np.mean(np.abs(coherence) ** 2), rel=1e-12)
     assert sum(w for _f, w in spec.elastic_lines) == pytest.approx(spec.elastic_weight, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives, st.floats(0.0, 6.2))
+def test_steady_state_solves_the_full_balance_equations(times, params, phase):
+    # the solve runs in traceless coordinates; check all four rows, trace row included
+    pl, state = steady(EmitterParams(*times), random_drive(*params, phase=phase))
+    c, rho = state.cutoff, state.harmonics
+    k = np.arange(1 - c, c)[:, None]
+    resid = rho[1:-1] @ pl.l0.T - 1j * k * pl.delta * rho[1:-1]
+    resid += rho[:-2] @ pl.lp.T + rho[2:] @ pl.lm.T
+    rho0 = state.harmonic(0)
+    scale = np.linalg.norm(pl.l0, 2) * np.linalg.norm(rho0)
+    assert np.abs(resid).max() <= 1e-12 * scale
+    assert rho0[0] + rho0[3] == pytest.approx(1.0, abs=1e-14)
+    for m in range(c + 1):
+        adjoint = state.harmonic_matrix(m).conj().T
+        assert np.abs(state.harmonic_matrix(-m) - adjoint).max() <= 1e-12 * np.linalg.norm(rho0)

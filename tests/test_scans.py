@@ -37,7 +37,7 @@ class TestEtalon:
     def test_periodic_in_the_free_spectral_range(self):
         et = EtalonFilter(center_ghz=0.3, fsr_ghz=9.18, fwhm_ghz=0.14)
         f = np.linspace(-4.0, 4.0, 41)
-        assert np.abs(et(f) - et(f + 9.18)).max() < 1e-12
+        assert np.abs(et.transmission(f) - et.transmission(f + 9.18)).max() < 1e-12
 
     def test_minimum_between_peaks(self):
         et = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
