@@ -198,12 +198,12 @@ def _mean_spectrum(
 
     ``weights`` (default equal) are normalized here; intensity and
     elastic weight are averaged with them.  The grid must cover the
-    splitting of the largest half Rabi as in mollow_spectrum.  Each
+    sidebands of the largest half Rabi as in mollow_spectrum.  Each
     member's minimum must pass the floor of Spectrum against the largest
     member peak, not its own: at equal powers the phase pi is noise.
     """
     grid = np.asarray(grid, dtype=float)
-    span = 2.0 * np.max(rabis) + 5.0 / (TWO_PI * emitter.t2_ns)
+    span = np.hypot(2.0 * np.max(rabis), detuning) + 5.0 / (TWO_PI * emitter.t2_ns)
     lo, hi = detuning - span, detuning + span
     tol = 1e-9 * max(1.0, abs(lo), abs(hi))
     if grid.min() > lo + tol or grid.max() < hi - tol:
@@ -226,8 +226,9 @@ def mollow_spectrum(
 ) -> Spectrum:
     """Incoherent resonance-fluorescence spectrum on ``grid`` (GHz).
 
-    The grid must cover the drive detuning +- (full Rabi splitting plus
-    five transverse linewidths); otherwise a CoverageError is raised.
+    The grid must cover the drive detuning +- (the sideband offset
+    sqrt((2 Omega)^2 + Delta1^2) plus five transverse linewidths);
+    otherwise a CoverageError is raised.
     The elastic (Rayleigh) line at the drive frequency is returned as a
     discrete weight, not folded into the sampled intensity.
     """

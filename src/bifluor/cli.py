@@ -172,7 +172,6 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
     strong = build_strong_drive(cfg)
     alpha_sq = cfg.get_float("scan.alpha_squared", 0.359)
     orders = cfg.get_int_list("scan.orders", (1, 2, 3, 4, 5))
-    prominence = cfg.get_float("scan.prominence_frac", 0.1)
     etalon = EtalonFilter(
         center_ghz=cfg.get_float("etalon.center_ghz", 0.0),
         fsr_ghz=cfg.get_float("etalon.fsr_ghz"),
@@ -192,7 +191,6 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         alpha_squared=alpha_sq,
         orders=orders,
         workers=args.workers,
-        prominence_frac=prominence,
         strict=args.strict,
     )
     csvio.write_curve(
@@ -227,7 +225,6 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     n_phases = 256  # phase_average only; small_delta sweeps the phase itself
     if method == "phase_average":
         n_phases = cfg.get_int("numerics.n_phases", n_phases)
-    epsilon = cfg.get_float("scan.epsilon_ghz", None)
     cfg.raise_on_unused()
     spec = degenerate_spectrum(
         emitter,
@@ -236,7 +233,6 @@ def _cmd_degenerate(args, cfg: ConfigFile):
         grid,
         method=method,
         n_phases=n_phases,
-        epsilon=epsilon,
         strict=args.strict,
     )
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)

@@ -141,6 +141,24 @@ class DoublyDressedLines:
         return self.line(5).center_ghz - self.line(4).center_ghz
 
 
+def _quartet(rabi, delta1, g, delta):
+    """Secular quartet geometry, vectorized over every argument.
+
+    For a strong field (half Rabi ``rabi``, detuning ``delta1``) and a
+    weak one (half Rabi ``g``, beat ``delta`` = Delta3 - Delta1), all in
+    GHz, returns (theta, g_eff, delta_pair, Lambda, phi): the strong-field
+    mixing angle, the pair coupling 2 G sin^2 theta, the pair detuning
+    s + delta, the quartet gap sqrt(delta_pair^2 + 4 g_eff^2) and the
+    quartet mixing angle, with tan 2 phi = 2 g_eff / delta_pair.
+    """
+    theta = 0.5 * np.arctan2(2.0 * rabi, 0.0 - delta1)
+    g_eff = 2.0 * g * np.sin(theta) ** 2
+    d_pair = np.hypot(2.0 * rabi, delta1) + delta
+    lam = np.hypot(d_pair, 2.0 * g_eff)
+    phi = 0.5 * np.arctan2(2.0 * g_eff, d_pair)
+    return theta, g_eff, d_pair, lam, phi
+
+
 def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     """Nine line centers and weights from the secular quartet model.
 
@@ -149,14 +167,9 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     the inner dressed transition; its gap Lambda never closes below
     2 G, producing the avoided crossing of the daughter lines.
     """
-    sd = singly_dressed(drive.strong)
-    theta = sd.theta
     delta = drive.delta
     d1 = drive.strong.detuning
-    g_eff = 2.0 * drive.weak.rabi * np.sin(theta) ** 2
-    d_pair = sd.splitting_ghz + delta
-    lam = float(np.hypot(d_pair, 2.0 * g_eff))
-    phi = 0.5 * np.arctan2(2.0 * g_eff, d_pair)
+    theta, g_eff, d_pair, lam, phi = _quartet(drive.strong.rabi, d1, drive.weak.rabi, delta)
     sin_t2, cos_t2 = np.sin(theta) ** 2, np.cos(theta) ** 2
     sin_p, cos_p = np.sin(phi), np.cos(phi)
     sin2p = np.sin(2.0 * phi)
@@ -203,7 +216,7 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     top = max(raw.values())
     scale = 1.0 / top if top > 0.0 else 1.0
     lines = tuple(
-        LineRecord(label=k, center_ghz=d1 + centers[k], weight=float(raw[k] * scale))
+        LineRecord(label=k, center_ghz=float(d1 + centers[k]), weight=float(raw[k] * scale))
         for k in sorted(centers)
     )
     secular = drive.weak.rabi <= 0.5 * drive.strong.rabi
@@ -216,9 +229,9 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
         )
     return DoublyDressedLines(
         lines=lines,
-        theta=theta,
+        theta=float(theta),
         phi=float(phi),
-        lambda_ghz=lam,
+        lambda_ghz=float(lam),
         g_eff_ghz=float(g_eff),
         delta_pair_ghz=float(d_pair),
         populations=(float(p_plus), float(p_minus)),
@@ -309,8 +322,7 @@ def dressed_populations(
     # lower-state component of each sublevel rotates as e^{-i delta t}.
     kap = 2.0 * TWO_PI * drive.weak.rabi
     w_in = -kap * np.exp(1j * drive.relative_phase) * np.sin(sd.theta) ** 2
-    delta_pair = TWO_PI * (sd.splitting_ghz + drive.delta)
-    phi = 0.5 * np.arctan2(2.0 * abs(w_in), delta_pair)
+    phi = _quartet(drive.strong.rabi, drive.strong.detuning, drive.weak.rabi, drive.delta)[4]
     beta = float(np.angle(w_in))
 
     c, s = float(np.cos(phi)), float(np.sin(phi))

@@ -443,14 +443,16 @@ def emission_spectrum(
     without convergence a TruncationWarning is issued (a TruncationError
     under ``strict``) and the ceiling result is returned.  The elastic
     lines are |<sigma->_m|^2 at Delta1 - m delta for every steady-state
-    harmonic m.
+    harmonic m.  The grid must cover Delta1 +- (the larger of the Mollow
+    sideband offset sqrt((2 Omega)^2 + Delta1^2) and the beat |delta|,
+    plus 2 G and three linewidths); otherwise a CoverageError is raised.
     """
     grid = np.asarray(grid, dtype=float)
     emitter, drive = pl.emitter, pl.drive
     d1 = drive.strong.detuning
     lw = 1.0 / (TWO_PI * emitter.t2_ns)
     g_half = 2.0 * drive.weak.rabi
-    span = 2.0 * drive.strong.rabi
+    span = np.hypot(2.0 * drive.strong.rabi, d1)  # Mollow sidebands at d1 +- span
     if drive.weak.rabi > 0.0:
         span = max(span, abs(drive.delta))
     need = span + g_half + 3.0 * lw
@@ -458,7 +460,7 @@ def emission_spectrum(
     if grid.min() > d1 - need + tol or grid.max() < d1 + need - tol:
         raise CoverageError(
             f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
-            f"[{d1 - need:g}, {d1 + need:g}] GHz (all nine line positions)"
+            f"[{d1 - need:g}, {d1 + need:g}] GHz around the strong drive"
         )
 
     nu = TWO_PI * (grid - d1)

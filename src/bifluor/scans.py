@@ -17,12 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import bloch
-from .dressed import subharmonic_shift
+from .dressed import _quartet, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
-from .errors import BifluorError, ConfigError, CoverageError, ValidationError
+from .errors import BifluorError, CoverageError, ValidationError
 from .fitting import gauss_newton
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 
@@ -52,7 +51,7 @@ class EtalonFilter:
     fwhm_ghz: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.fsr_ghz) and np.isfinite(self.fwhm_ghz)):
+        if not np.all(np.isfinite([self.center_ghz, self.fsr_ghz, self.fwhm_ghz])):
             raise ValidationError("etalon parameters must be finite")
         if not 0.0 < self.fwhm_ghz < self.fsr_ghz:
             raise ValidationError("need 0 < fwhm < free spectral range")
@@ -201,18 +200,6 @@ def central_intensity_curve(
     )
 
 
-def _central_weight(delta1, rabi, g, delta2):
-    """Unnormalized secular central-line weight for the curve model."""
-    theta = 0.5 * np.arctan2(2.0 * rabi, 0.0 - delta1)
-    s = np.hypot(2.0 * rabi, delta1)
-    g_eff = 2.0 * g * np.sin(theta) ** 2
-    delta3 = delta2 - 2.0 * rabi
-    d_pair = s + (delta3 - delta1)
-    lam2 = d_pair * d_pair + 4.0 * g_eff * g_eff
-    cos2p_sq = d_pair * d_pair / lam2 if lam2 > 0.0 else 1.0
-    return (np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq
-
-
 def _vertex(x, y, i):
     """Vertex of the parabola through points i - 1..i + 1 if it opens upward."""
     if not 0 < i < len(x) - 1:
@@ -252,8 +239,14 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
 
     def model(p):
         d1, scale = p
-        w = np.array([_central_weight(d1, strong_rabi, weak_rabi, x) for x in d2])
-        return scale * w
+        delta = d2 - 2.0 * strong_rabi - d1  # beat Delta3 - Delta1 at each point
+        theta, g_eff, d_pair, _lam, _phi = _quartet(strong_rabi, d1, weak_rabi, delta)
+        # unnormalized line-1 weight of dressed.doubly_dressed_lines, with
+        # cos^2 2 phi = d_pair^2 / Lambda^2 (1 where Lambda = 0); Lambda^2
+        # as a sum of squares, not hypot^2, keeps the fit bit-identical
+        lam2 = d_pair * d_pair + 4.0 * g_eff * g_eff
+        cos2p_sq = np.divide(d_pair * d_pair, lam2, out=np.ones_like(lam2), where=lam2 > 0.0)
+        return scale * ((np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq)
 
     w0 = model((d1_init, 1.0))
     top = float(np.max(w0))
@@ -336,7 +329,6 @@ def subharmonic_scan(
     alpha_squared: float = 0.359,
     orders=(1, 2, 3, 4, 5),
     workers: int = 1,
-    prominence_frac: float = 0.1,
     strict: bool = False,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
@@ -345,9 +337,14 @@ def subharmonic_scan(
     so G = alpha Omega / 2) is stepped to each Delta3; the incoherent
     spectrum is transmitted through the etalon and integrated.  Dips
     appear where 2 Omega / n photon processes go resonant, displaced
-    from the bare subharmonics by the ac Stark shift; each requested
-    order is located with a local minimum search plus parabolic
-    refinement.  ``strict`` is passed on to emission_spectrum.
+    from the bare subharmonics by the ac Stark shift.  Each requested
+    order's dip is the lowest finite point of its window (half a gap
+    below 2 Omega / n to 0.7 of a gap above), refined by the parabola
+    through it and its neighbours; an order whose lowest point is the
+    first or last of its window has no dip.  The frequency grid spans
+    the generalized splitting sqrt((2 Omega)^2 + Delta1^2) plus the
+    largest |Delta3|, so every row passes emission_spectrum's coverage
+    check.  ``strict`` is passed on to emission_spectrum.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
@@ -356,7 +353,8 @@ def subharmonic_scan(
     alpha = float(np.sqrt(alpha_squared))
     g = 0.5 * alpha * strong.rabi
     lw = 1.0 / (TWO_PI * emitter.t2_ns)
-    span = 2.0 * strong.rabi + float(np.max(np.abs(delta3_values))) + 2.0 * g + 3.0 * lw
+    splitting = np.hypot(2.0 * strong.rabi, strong.detuning)
+    span = splitting + float(np.max(np.abs(delta3_values))) + 2.0 * g + 3.0 * lw
     step = max(etalon.fwhm_ghz / 4.0, 1e-3)
     grid = np.arange(-span - 2.0 * step, span + 2.0 * step + step / 2, step)
     grid = grid + strong.detuning
@@ -388,23 +386,9 @@ def subharmonic_scan(
         x, y = x[srt], y[srt]
         good = np.isfinite(y)
         x, y = x[good], y[good]
-        if x.size < 3:
+        best = int(np.argmin(y)) if y.size else 0
+        if not 0 < best < y.size - 1:  # lowest at a window edge: no dip
             continue
-        prom = prominence_frac * float(np.median(y))
-        idxs, _props = find_peaks(-y, prominence=max(prom, 0.0))
-        if idxs.size == 0:
-            interior = np.argmin(y)
-            if interior in (0, x.size - 1):
-                continue
-            idxs = np.array([interior])
-        # most prominent dip; ties resolved toward the bare subharmonic
-        depths = [np.max(y) - y[i] for i in idxs]
-        best = idxs[int(np.argmax(depths))]
-        for i in idxs:
-            if abs(np.max(y) - y[i] - np.max(depths)) < 1e-15 and abs(
-                x[i] - base
-            ) < abs(x[best] - base):
-                best = i
         vertex = _vertex(x, y, best)
         inside = vertex is not None and x[best - 1] <= vertex <= x[best + 1]
         pos = vertex if inside else x[best]
@@ -433,7 +417,6 @@ def degenerate_spectrum(
     grid,
     method: str = "phase_average",
     n_phases: int = 256,
-    epsilon: float | None = None,
     strict: bool = False,
 ) -> bloch.Spectrum:
     """Spectrum for two drives at the same frequency (power ratio alpha).
@@ -447,9 +430,10 @@ def degenerate_spectrum(
     phases in one stacked resolvent sum (phases phi and 2 pi - phi
     share one member of weight 2), on a grid covering the largest
     effective splitting; ``small_delta`` instead runs the bichromatic
-    engine at a tiny beat detuning epsilon (default one twentieth of the
-    radiative linewidth) so the phase is swept physically.  Both see the
-    same distribution.  ``strict`` is passed on to emission_spectrum.
+    engine at a beat detuning of one twentieth of the radiative
+    linewidth, gamma_sp / (2 pi) / 20, so the phase is swept
+    physically.  Both see the same distribution.  ``strict`` is passed
+    on to emission_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(alpha) or alpha < 0.0:
@@ -465,14 +449,7 @@ def degenerate_spectrum(
         weights = np.where((k == 0) | (2 * k == n_phases), 1.0, 2.0)
         return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid, weights)
     if method == "small_delta":
-        lw = emitter.gamma_sp / TWO_PI
-        if epsilon is None:
-            epsilon = lw / 20.0
-        if not 0.0 < epsilon <= lw / 5.0:
-            raise ConfigError(
-                f"epsilon must be within (0, {lw / 5.0:g}] GHz to stay "
-                "quasi-degenerate"
-            )
+        epsilon = emitter.gamma_sp / TWO_PI / 20.0
         weak = DriveField(
             detuning=strong.detuning + epsilon, rabi=0.5 * np.sqrt(alpha) * strong.rabi
         )

@@ -111,6 +111,16 @@ def test_grid_must_cover_the_triplet(emitter):
         mollow_spectrum(emitter, DriveField(detuning=0.0, rabi=2.9), np.linspace(-3, 3, 61))
 
 
+def test_grid_must_cover_the_detuned_sidebands(emitter):
+    # sidebands at 10 +- hypot(5.8, 10) = -1.56 and 21.56 GHz: the 2 Omega
+    # rule would accept [2.3, 17.7], where the spectrum captures 0.064 of
+    # the excited population 0.118
+    drive = DriveField(detuning=10.0, rabi=2.9)
+    with pytest.raises(CoverageError):
+        mollow_spectrum(emitter, drive, np.linspace(2.3, 17.7, 155))
+    mollow_spectrum(emitter, drive, np.linspace(-3.5, 23.5, 271))
+
+
 def test_mollow_shape_matches_spectrum_on_shared_grid(emitter):
     drive = DriveField(detuning=0.7, rabi=2.0)
     grid = np.linspace(-8, 9, 341)
@@ -272,7 +282,7 @@ def test_resolvent_leading_coefficient_sums_to_the_excited_population(
 @example(390.0, 424.0 / 780.0, 0.0, [0.008181041462754626])
 def test_spectrum_matches_direct_solves(t1, t2_ratio, detuning, rabis):
     em = EmitterParams(t1=t1, t2=t2_ratio * 2.0 * t1)
-    span = 2.0 * max(rabis) + 5.0 / (TWO_PI * em.t2_ns)
+    span = np.hypot(2.0 * max(rabis), detuning) + 5.0 / (TWO_PI * em.t2_ns)
     grid = detuning + np.linspace(-1.5 * span, 1.5 * span, 301)
     direct = [direct_spectrum(em, DriveField(detuning, rabi), grid) for rabi in rabis]
     for rabi, ref in zip(rabis, direct):

@@ -1,10 +1,14 @@
 """Config parsing, CSV round trips, and the six CLI subcommands."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bifluor
 from bifluor import cli, csvio, floquet
 from bifluor.bloch import Spectrum, mollow_shape, mollow_spectrum
 from bifluor.config import (
@@ -535,6 +539,45 @@ grid_step_ghz = 0.02
         cfg = write_cfg(tmp_path, SUBHARMONICS_CFG.replace("orders = 1", "orders = 0"))
         assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "subharmonic orders must be positive" in capsys.readouterr().err
+
+    def test_non_finite_etalon_centre_exits_one(self, tmp_path, capsys):
+        text = SUBHARMONICS_CFG.replace("fsr_ghz = 9.18", "center_ghz = nan\nfsr_ghz = 9.18")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "etalon parameters must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("subharmonics", SUBHARMONICS_CFG + "prominence_frac = 0.1\n", "scan.prominence_frac"),
+            ("degenerate", DEGENERATE_CFG + "\n[scan]\nepsilon_ghz = 0.001\n", "scan.epsilon_ghz"),
+            (
+                "degenerate",
+                DEGENERATE_CFG + "\n[scan]\nmethod = small_delta\nepsilon_ghz = 0.001\n",
+                "scan.epsilon_ghz",
+            ),
+        ],
+        ids=["prominence", "epsilon-phase-average", "epsilon-small-delta"],
+    )
+    def test_dip_and_beat_knobs_are_unknown_keys(self, tmp_path, capsys, command, text, key):
+        # the dip is the window minimum and the small_delta beat is gamma / 20
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert f"unknown key {key} for this command" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        src = os.path.dirname(os.path.dirname(bifluor.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, bifluor, bifluor.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "command, text, key",

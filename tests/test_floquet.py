@@ -107,6 +107,17 @@ def test_grid_must_cover_both_triplets(emitter, drive):
         emission_spectrum(pl, state, np.linspace(-2.0, 2.0, 81))
 
 
+def test_grid_must_cover_the_detuned_strong_sidebands(emitter):
+    # the strong sidebands sit at 4 +- hypot(5.8, 4) = -3.05 and 11.05 GHz,
+    # so 2 Omega alone would accept [-4.67, 12.67] with four of the nine
+    # secular lines outside it
+    drive = random_drive(2.9, 4.0, 0.87, 3.0)
+    pl, state = steady(emitter, drive)
+    with pytest.raises(CoverageError):
+        emission_spectrum(pl, state, np.linspace(-4.67, 12.67, 175))
+    emission_spectrum(pl, state, np.linspace(-6.0, 14.0, 201))
+
+
 def test_cutoff_doubling_leaves_the_spectrum_unchanged(emitter, drive, fine_grid):
     # a steady state solved at four times the cutoff makes the resolvent
     # start (and stop) at a cutoff at least twice the converged one
@@ -298,7 +309,7 @@ def test_weak_field_off_equals_the_bloch_spectrum(times, rabi, d1, beat):
     strong = DriveField(detuning=d1, rabi=rabi)
     drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d1 + beat, rabi=0.0))
     lw = 1.0 / (2.0 * np.pi * em.t2_ns)
-    grid = np.linspace(-1.0, 1.0, 201) * (2.0 * rabi + 6.0 * lw) + d1
+    grid = np.linspace(-1.0, 1.0, 201) * (np.hypot(2.0 * rabi, d1) + 6.0 * lw) + d1
     spec = spectrum_of(em, drive, grid)
     ref = mollow_spectrum(em, strong, grid)
     assert np.abs(spec.intensity - ref.intensity).max() <= 1e-10 * ref.intensity.max()

@@ -7,8 +7,9 @@ import pytest
 
 from bifluor import scans
 from bifluor.bloch import mollow_spectrum
+from bifluor.dressed import _quartet
 from bifluor.emitter import DriveField, EmitterParams
-from bifluor.errors import ConfigError, CoverageError, ValidationError
+from bifluor.errors import CoverageError, ValidationError
 from bifluor.floquet import (
     build_periodic_liouvillian,
     emission_spectrum,
@@ -17,7 +18,6 @@ from bifluor.floquet import (
 from bifluor.scans import (
     CentralCurve,
     EtalonFilter,
-    _central_weight,
     central_intensity_curve,
     degenerate_spectrum,
     detuning_map,
@@ -109,7 +109,8 @@ class TestDetuningMap:
 class TestCentralCurveFit:
     def test_model_round_trip_with_noise(self):
         d2 = np.linspace(-4.0, 4.0, 33)
-        model = np.array([_central_weight(-0.977, 2.9, 0.87, v) for v in d2])
+        theta, _g_eff, _d_pair, _lam, phi = _quartet(2.9, -0.977, 0.87, d2 - 5.8 + 0.977)
+        model = (np.sin(theta) * np.cos(theta) * np.cos(2.0 * phi)) ** 2
         rng = np.random.default_rng(11)
         noisy = 3.0 * model * (1.0 + 0.02 * rng.standard_normal(d2.size))
         curve = CentralCurve(
@@ -272,10 +273,6 @@ class TestDegenerate:
             degenerate_spectrum(emitter, strong, 0.2, fine_grid, n_phases=4)
         with pytest.raises(ValidationError):
             degenerate_spectrum(emitter, strong, 0.2, fine_grid, method="exact")
-        with pytest.raises(ConfigError):
-            degenerate_spectrum(
-                emitter, strong, 0.2, fine_grid, method="small_delta", epsilon=1.0
-            )
 
     def test_plateau_edges_validation(self):
         freq = np.linspace(0.0, 12.0, 601)
