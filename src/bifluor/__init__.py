@@ -27,13 +27,10 @@ from .bloch import (
     steady_state,
 )
 from .dressed import (
-    CentralAmplitude,
     DoublyDressedLines,
-    SinglyDressed,
     central_line_amplitude,
     doubly_dressed_lines,
     dressed_populations,
-    singly_dressed,
     subharmonic_shift,
 )
 from .emitter import (
@@ -102,11 +99,8 @@ __all__ = [
     "periodic_steady_state",
     "emission_spectrum",
     "half_fourier",
-    "SinglyDressed",
-    "singly_dressed",
     "DoublyDressedLines",
     "doubly_dressed_lines",
-    "CentralAmplitude",
     "central_line_amplitude",
     "dressed_populations",
     "subharmonic_shift",

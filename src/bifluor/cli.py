@@ -38,7 +38,6 @@ from .config import (
     build_grid,
     build_strong_drive,
     load_config,
-    weak_rabi_from_config,
 )
 from .dressed import doubly_dressed_lines
 from .emitter import EmitterParams, DriveField
@@ -127,11 +126,10 @@ def _cmd_spectrum(args, cfg: ConfigFile):
 def _cmd_map(args, cfg: ConfigFile):
     emitter = build_emitter(cfg)
     strong = build_strong_drive(cfg)
-    weak_rabi = weak_rabi_from_config(cfg, strong)
+    weak_rabi = 0.5 * cfg.get_float("drive.rabi2_weak_ghz")
     phase = cfg.get_float("drive.relative_phase_rad", 0.0)
     grid = build_grid(cfg)
     axis = build_axis(cfg, "scan.delta2")
-    window = cfg.get_float("scan.window_ghz", 0.5)
     want_fit = cfg.get_bool("scan.fit_delta1", False)
     cfg.raise_on_unused()
     result = detuning_map(
@@ -145,7 +143,7 @@ def _cmd_map(args, cfg: ConfigFile):
         strict=args.strict,
     )
     csvio.write_map(os.path.join(args.out, "map.csv"), result)
-    curve = central_intensity_curve(result, window=window, center=strong.detuning)
+    curve = central_intensity_curve(result, center=strong.detuning)
     csvio.write_curve(
         os.path.join(args.out, "central_curve.csv"),
         curve.delta2,
@@ -222,19 +220,8 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     alpha = cfg.get_float("drive.alpha")  # power ratio of the two fields
     grid = build_grid(cfg)
     method = cfg.get_str("scan.method", "phase_average")
-    n_phases = 256  # phase_average only; small_delta sweeps the phase itself
-    if method == "phase_average":
-        n_phases = cfg.get_int("numerics.n_phases", n_phases)
     cfg.raise_on_unused()
-    spec = degenerate_spectrum(
-        emitter,
-        strong,
-        alpha,
-        grid,
-        method=method,
-        n_phases=n_phases,
-        strict=args.strict,
-    )
+    spec = degenerate_spectrum(emitter, strong, alpha, grid, method=method, strict=args.strict)
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)
     extra = {"method": method}
     try:

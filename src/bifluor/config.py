@@ -27,7 +27,6 @@ __all__ = [
     "build_emitter",
     "build_strong_drive",
     "build_bichromatic_drive",
-    "weak_rabi_from_config",
     "build_axis",
     "build_grid",
 ]
@@ -35,8 +34,7 @@ __all__ = [
 _MISSING = object()
 
 # keys of the time-stepping spectrum engine that the harmonic-space
-# resolvent replaced; numerics.n_phases stays valid for the
-# phase-averaged degenerate spectrum, which reads it itself
+# resolvent replaced
 REMOVED_KEYS = ("numerics.tau_max_ns", "numerics.n_phases", "scan.tau_factor")
 
 
@@ -194,38 +192,10 @@ def build_strong_drive(cfg: ConfigFile) -> DriveField:
     return DriveField(detuning=detuning, rabi=0.5 * rabi2)
 
 
-def weak_rabi_from_config(cfg: ConfigFile, strong: DriveField) -> float:
-    """Half splitting G of the weak field from one of two keys.
-
-    Either drive.rabi2_weak_ghz gives the full weak splitting 2 G
-    directly, or drive.alpha gives the bare amplitude ratio of the two
-    fields, in which case G = alpha * Omega / 2.  Exactly one of the
-    two must be present.
-    """
-    has_rabi = cfg.has("drive.rabi2_weak_ghz")
-    has_alpha = cfg.has("drive.alpha")
-    if has_rabi and has_alpha:
-        raise ConfigError(
-            f"{cfg.path}: drive.rabi2_weak_ghz (line {cfg.line('drive.rabi2_weak_ghz')}) "
-            f"and drive.alpha (line {cfg.line('drive.alpha')}) are mutually exclusive"
-        )
-    if has_rabi:
-        return 0.5 * cfg.get_float("drive.rabi2_weak_ghz")
-    if has_alpha:
-        alpha = cfg.get_float("drive.alpha")
-        if alpha < 0.0:
-            raise ConfigError(
-                f"{cfg.path}:{cfg.line('drive.alpha')}: drive.alpha must be non-negative"
-            )
-        return 0.5 * alpha * strong.rabi
-    raise ConfigError(
-        f"{cfg.path}: need exactly one of drive.rabi2_weak_ghz or drive.alpha"
-    )
-
-
 def build_bichromatic_drive(cfg: ConfigFile) -> BichromaticDrive:
+    """Strong and weak field; drive.rabi2_weak_ghz is the full weak splitting 2 G."""
     strong = build_strong_drive(cfg)
-    weak_rabi = weak_rabi_from_config(cfg, strong)
+    weak_rabi = 0.5 * cfg.get_float("drive.rabi2_weak_ghz")
     weak_det = cfg.get_float("drive.detuning_weak_ghz")
     phase = cfg.get_float("drive.relative_phase_rad", 0.0)
     weak = DriveField(detuning=weak_det, rabi=weak_rabi)
@@ -233,7 +203,11 @@ def build_bichromatic_drive(cfg: ConfigFile) -> BichromaticDrive:
 
 
 def build_axis(cfg: ConfigFile, prefix: str) -> np.ndarray:
-    """Uniform axis, both ends included, from <prefix>_min_ghz, _max_ghz, _step_ghz."""
+    """Uniform axis, both ends included, from <prefix>_min_ghz, _max_ghz, _step_ghz.
+
+    The step must divide max - min into a whole number of steps (to 1e-9
+    relative), so the axis has exactly the step the config states.
+    """
     name = prefix.rpartition(".")[2]
     lo = cfg.get_float(f"{prefix}_min_ghz")
     hi = cfg.get_float(f"{prefix}_max_ghz")
@@ -246,9 +220,15 @@ def build_axis(cfg: ConfigFile, prefix: str) -> np.ndarray:
         )
     if hi <= lo:
         raise ConfigError(f"{cfg.path}: {name}_max_ghz must exceed {name}_min_ghz")
-    count = int(round((hi - lo) / step)) + 1
+    steps = (hi - lo) / step
+    count = int(round(steps)) + 1
     if count > 2_000_000:  # refused before it is allocated
         raise ConfigError(f"{cfg.path}: {name} would hold {count} points")
+    if abs(steps - (count - 1)) > 1e-9 * steps:
+        raise ConfigError(
+            f"{cfg.path}:{cfg.line(f'{prefix}_step_ghz')}: {name}_step_ghz = {step!r} "
+            f"does not divide {name}_max_ghz - {name}_min_ghz = {hi - lo!r} into whole steps"
+        )
     return np.linspace(lo, hi, count)
 
 

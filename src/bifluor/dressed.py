@@ -29,6 +29,11 @@ positions relative to the bare transition):
 
 Pairs (4,5), (6,7), (8,9) trace the hyperbolic anti-crossing as the
 weak field scans through the dressed resonance.
+
+The quartet geometry (theta, g, Delta_pair, Lambda, phi) is computed in
+one place, _quartet, and the line-1 weight in one, _central_weight,
+which the Delta1 fit in scans shares.  dressed_populations builds the
+dressed doublet from the same theta.
 """
 
 from __future__ import annotations
@@ -39,70 +44,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
+from .emitter import TWO_PI, BichromaticDrive, EmitterParams
 from .errors import NumericsWarning, ValidationError
 from .floquet import build_periodic_liouvillian, periodic_steady_state
 
 __all__ = [
-    "SinglyDressed",
-    "singly_dressed",
     "LineRecord",
     "DoublyDressedLines",
     "doubly_dressed_lines",
-    "CentralAmplitude",
     "central_line_amplitude",
     "dressed_populations",
     "subharmonic_shift",
 ]
-
-
-@dataclass(frozen=True)
-class SinglyDressed:
-    """Dressed doublet of a single strong drive.
-
-    ``upper`` and ``lower`` are state vectors in the (g, e) basis; the
-    mixing angle theta is pi/4 on resonance and goes to 0 (pi/2) for
-    far red (blue) laser detuning, where the upper state becomes the
-    bare excited (ground) state.
-    """
-
-    theta: float
-    splitting_ghz: float
-    upper: np.ndarray
-    lower: np.ndarray
-
-    def __post_init__(self):
-        self.upper.setflags(write=False)
-        self.lower.setflags(write=False)
-
-    @property
-    def dipole_upper(self) -> float:
-        """<u|sigma-|u>, sin(theta) cos(theta)."""
-        return float(np.sin(self.theta) * np.cos(self.theta))
-
-    @property
-    def dipole_lower(self) -> float:
-        return -self.dipole_upper
-
-    @property
-    def dipole_inner(self) -> float:
-        """<u|sigma-|l>, -sin^2(theta); couples to the weak field."""
-        return -float(np.sin(self.theta) ** 2)
-
-    @property
-    def dipole_outer(self) -> float:
-        """<l|sigma-|u>, cos^2(theta)."""
-        return float(np.cos(self.theta) ** 2)
-
-
-def singly_dressed(strong: DriveField) -> SinglyDressed:
-    """Diagonalize the strong-drive Hamiltonian in the rotating frame."""
-    theta = 0.5 * np.arctan2(2.0 * strong.rabi, 0.0 - strong.detuning)
-    s = float(np.hypot(2.0 * strong.rabi, strong.detuning))
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    upper = np.array([sin_t, cos_t])  # (g, e) components
-    lower = np.array([cos_t, -sin_t])
-    return SinglyDressed(theta=float(theta), splitting_ghz=s, upper=upper, lower=lower)
 
 
 @dataclass(frozen=True)
@@ -122,11 +75,7 @@ class DoublyDressedLines:
     """
 
     lines: tuple[LineRecord, ...]
-    theta: float
-    phi: float
     lambda_ghz: float
-    g_eff_ghz: float
-    delta_pair_ghz: float
     populations: tuple[float, float]
     secular: bool
 
@@ -159,6 +108,19 @@ def _quartet(rabi, delta1, g, delta):
     return theta, g_eff, d_pair, lam, phi
 
 
+def _central_weight(rabi, delta1, g, delta):
+    """Unnormalized central-line (label 1) weight, vectorized like _quartet.
+
+    sin^2 theta cos^2 theta cos^2 2 phi, with cos^2 2 phi taken as
+    delta_pair^2 / Lambda^2 (1 where Lambda = 0), so it is exactly 0 on
+    the dressed resonance.
+    """
+    theta, g_eff, d_pair, _lam, _phi = _quartet(rabi, delta1, g, delta)
+    lam2 = np.asarray(d_pair * d_pair + 4.0 * g_eff * g_eff)
+    cos2p_sq = np.divide(d_pair * d_pair, lam2, out=np.ones_like(lam2), where=lam2 > 0.0)
+    return (np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq
+
+
 def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     """Nine line centers and weights from the secular quartet model.
 
@@ -173,7 +135,6 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     sin_t2, cos_t2 = np.sin(theta) ** 2, np.cos(theta) ** 2
     sin_p, cos_p = np.sin(phi), np.cos(phi)
     sin2p = np.sin(2.0 * phi)
-    cos2p = np.cos(2.0 * phi)
 
     # radiative rates between the quartet eigenstates set the secular
     # populations: detailed balance of the summed |amplitude|^2
@@ -192,7 +153,7 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
 
     cross = sin_t2 * cos_t2 * sin2p**2
     raw = {
-        1: sin_t2 * cos_t2 * cos2p**2,
+        1: _central_weight(drive.strong.rabi, d1, drive.weak.rabi, delta),
         4: p_minus * cross,
         5: p_plus * cross,
         2: cos_t2**2 * sin_p**2 * cos_p**2,
@@ -229,43 +190,22 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
         )
     return DoublyDressedLines(
         lines=lines,
-        theta=float(theta),
-        phi=float(phi),
         lambda_ghz=float(lam),
-        g_eff_ghz=float(g_eff),
-        delta_pair_ghz=float(d_pair),
         populations=(float(p_plus), float(p_minus)),
         secular=secular,
     )
 
 
-@dataclass(frozen=True)
-class CentralAmplitude:
-    """Signed central-line amplitude with an interference marker.
-
-    ``interference`` is False when the weak field is absent, in which
-    case there is nothing to cancel and the magnitude is the bare
-    dressed dipole 1/2.
-    """
-
-    value: float
-    interference: bool
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __abs__(self) -> float:
-        return abs(self.value)
-
-
-def central_line_amplitude(rabi: float, g: float, delta2: float) -> CentralAmplitude:
-    """Central-line emission amplitude for a resonant strong drive.
+def central_line_amplitude(rabi: float, g: float, delta2: float) -> float:
+    """Signed central-line emission amplitude for a resonant strong drive.
 
     With the strong field on resonance (theta = pi/4) the two central
     transitions interfere; the net amplitude is
     delta2 / (2 sqrt(delta2^2 + 4 g^2)), which vanishes when the weak
     field sits exactly on the dressed resonance and recovers magnitude
-    1/2 as the weak field is removed.
+    1/2 as the weak field is removed.  With no weak field (g = 0) there
+    is nothing to interfere with: the amplitude is the bare dressed
+    dipole 1/2, signed like delta2.
     """
     for name, val in (("rabi", rabi), ("g", g), ("delta2", delta2)):
         if not np.isfinite(val):
@@ -280,10 +220,8 @@ def central_line_amplitude(rabi: float, g: float, delta2: float) -> CentralAmpli
             stacklevel=2,
         )
     if g == 0.0:
-        value = 0.5 if delta2 == 0.0 else float(0.5 * np.sign(delta2))
-        return CentralAmplitude(value=value, interference=False)
-    lam = float(np.hypot(delta2, 2.0 * g))
-    return CentralAmplitude(value=float(0.5 * delta2 / lam), interference=True)
+        return 0.5 if delta2 == 0.0 else float(0.5 * np.sign(delta2))
+    return float(0.5 * delta2 / np.hypot(delta2, 2.0 * g))
 
 
 def dressed_populations(
@@ -301,19 +239,24 @@ def dressed_populations(
     doublet populations themselves are returned; with no drive at all
     the ground state carries everything.  The two values sum to one.
     """
-    sd = singly_dressed(drive.strong)
+    theta, _g_eff, _d_pair, _lam, phi = _quartet(
+        drive.strong.rabi, drive.strong.detuning, drive.weak.rabi, drive.delta
+    )
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    upper = np.array([sin_t, cos_t])  # dressed doublet in the (g, e) basis
+    lower = np.array([cos_t, -sin_t])
     if drive.weak.rabi == 0.0:
         system = bloch.build_bloch(emitter, drive.strong)
         u, v, w = bloch.steady_state(system)
         rho = 0.5 * np.array(
             [[1.0 - w, u + 1j * v], [u - 1j * v, 1.0 + w]], dtype=complex
         )
-        p_up = float(np.real(sd.upper.conj() @ rho @ sd.upper))
+        p_up = float(np.real(upper.conj() @ rho @ upper))
         return p_up, 1.0 - p_up
 
     pl = build_periodic_liouvillian(emitter, drive)
     state = periodic_steady_state(pl)
-    basis = np.column_stack([sd.upper, sd.lower]).astype(complex)
+    basis = np.column_stack([upper, lower]).astype(complex)
     rho0 = basis.conj().T @ state.harmonic_matrix(0) @ basis
     rho1 = basis.conj().T @ state.harmonic_matrix(1) @ basis
 
@@ -321,8 +264,7 @@ def dressed_populations(
     # fixes the orientation of the quartet superposition, and the
     # lower-state component of each sublevel rotates as e^{-i delta t}.
     kap = 2.0 * TWO_PI * drive.weak.rabi
-    w_in = -kap * np.exp(1j * drive.relative_phase) * np.sin(sd.theta) ** 2
-    phi = _quartet(drive.strong.rabi, drive.strong.detuning, drive.weak.rabi, drive.delta)[4]
+    w_in = -kap * np.exp(1j * drive.relative_phase) * sin_t**2
     beta = float(np.angle(w_in))
 
     c, s = float(np.cos(phi)), float(np.sin(phi))

@@ -40,13 +40,13 @@ def derive_rates(t1: float, t2: float) -> tuple[float, float]:
         gamma_sp = 1000 / t1
         gamma_pd = 1000 / t2 - 500 / t1
 
-    Raises ValidationError for non-positive times and
+    Raises ValidationError for non-positive or non-finite times and
     UnphysicalDephasingError when t2 > 2*t1 (which would need a negative
     pure dephasing rate).
     """
-    if not (t1 > 0.0 and t2 > 0.0):
+    if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
         raise ValidationError(
-            f"lifetimes must be positive, got t1={t1!r} ps, t2={t2!r} ps"
+            f"lifetimes must be positive and finite, got t1={t1!r} ps, t2={t2!r} ps"
         )
     if t2 > 2.0 * t1:
         raise UnphysicalDephasingError(

@@ -14,8 +14,8 @@ at _DAMPING; lam is multiplied by 10 whenever a step increases the
 residual or gives a non-finite one (and the step is rejected) and by
 0.1 whenever it decreases (step accepted).  Iteration stops when the
 relative change of the squared residual drops below _REL_TOL or the
-step norm below _STEP_TOL; running out of iterations, or 60 rejected
-steps in a row, raises FitFailure carrying the last iterate.
+step norm below _STEP_TOL; running out of iterations (_MAX_ITER), or
+60 rejected steps in a row, raises FitFailure carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = ["GaussNewtonResult", "gauss_newton"]
 _DAMPING = 1e-3  # initial Levenberg damping
 _REL_TOL = 1e-10  # relative cost change that ends the iteration
 _STEP_TOL = 1e-12  # step norm that ends the iteration
+_MAX_ITER = 200  # iterations before FitFailure
 
 
 @dataclass
@@ -50,15 +51,15 @@ def _jacobian(residual_fn, p, scale):
     return ((r[: p.size] - r[p.size :]) / (2.0 * h[:, None])).T
 
 
-def gauss_newton(residual_fn, p0, max_iter: int = 200) -> GaussNewtonResult:
-    """Minimize ||residual_fn(p[None])[0]||^2 starting from p0."""
+def gauss_newton(residual_fn, p0) -> GaussNewtonResult:
+    """Minimize ||residual_fn(p[None])[0]||^2 from p0 in at most _MAX_ITER = 200 iterations."""
     p = np.asarray(p0, dtype=float).copy()
     scale = np.maximum(np.abs(p), 1.0)
     r = residual_fn(p[None])[0]
     cost = float(r @ r)
     lam = _DAMPING
     J = _jacobian(residual_fn, p, scale)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         A = J.T @ J
         g = J.T @ r
         D = np.diag(np.maximum(np.diag(A), 1e-14))
@@ -88,7 +89,7 @@ def gauss_newton(residual_fn, p0, max_iter: int = 200) -> GaussNewtonResult:
         J = _jacobian(residual_fn, p, scale)
         if rel_drop < _REL_TOL or float(np.linalg.norm(step)) < _STEP_TOL:
             return GaussNewtonResult(p, r, J, cost, it, True)
-    last = GaussNewtonResult(p, r, J, cost, max_iter, False)
+    last = GaussNewtonResult(p, r, J, cost, _MAX_ITER, False)
     raise FitFailure(
-        f"no convergence after {max_iter} iterations (cost {cost:.3e})", result=last
+        f"no convergence after {_MAX_ITER} iterations (cost {cost:.3e})", result=last
     )

@@ -236,16 +236,14 @@ def _solve_balance(pl: PeriodicLiouvillian, cutoff: int) -> np.ndarray:
     return harm
 
 
-def periodic_steady_state(pl: PeriodicLiouvillian, cutoff: int = 8) -> PeriodicState:
+def periodic_steady_state(pl: PeriodicLiouvillian) -> PeriodicState:
     """Periodic steady state with automatic cutoff doubling.
 
-    The cutoff doubles from ``cutoff`` until the edge harmonic falls
+    The cutoff starts at 8 and doubles until the edge harmonic falls
     below ``EDGE_TOL * ||rho_0||``; reaching _STEADY_CEILING without
     convergence raises TruncationError carrying the residual edge norm.
     """
-    if not 1 <= cutoff <= _STEADY_CEILING:
-        raise ValidationError(f"need 1 <= cutoff <= {_STEADY_CEILING}")
-    k = cutoff
+    k = 8
     while True:
         harm = _solve_balance(pl, k)
         ref = np.linalg.norm(harm[k])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .dressed import _quartet, subharmonic_shift
+from .dressed import _central_weight, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
 from .errors import BifluorError, CoverageError, ValidationError
 from .fitting import gauss_newton
@@ -40,6 +40,9 @@ __all__ = [
     "degenerate_spectrum",
     "plateau_edges",
 ]
+
+_WINDOW_GHZ = 0.5  # half width of the central-line window of central_intensity_curve
+_N_PHASES = 256  # relative phases in the phase-averaged degenerate spectrum
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,8 @@ def _run_rows(tasks, workers: int, axis):
 
     The rows' warnings are issued again here, in row order.
     """
+    if workers < 1:
+        raise ValidationError("workers must be at least 1")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -146,8 +151,6 @@ def detuning_map(
     grid = np.asarray(grid, dtype=float)
     if delta2_values.ndim != 1 or delta2_values.size == 0:
         raise ValidationError("delta2_values must be a non-empty 1d array")
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
     tasks = []
     for i, d2 in enumerate(delta2_values):
         weak = DriveField(detuning=d2 - 2.0 * strong.rabi, rabi=weak_rabi)
@@ -174,7 +177,6 @@ class CentralCurve:
 
     delta2: np.ndarray
     intensity: np.ndarray
-    window_ghz: float
     center_ghz: float
 
     def __post_init__(self):
@@ -182,22 +184,13 @@ class CentralCurve:
         self.intensity.setflags(write=False)
 
 
-def central_intensity_curve(
-    result: ScanResult2D, window: float = 0.5, center: float = 0.0
-) -> CentralCurve:
-    """Integrate each map row over |f - center| <= window (GHz)."""
-    if window <= 0.0:
-        raise ValidationError("window must be positive")
-    mask = np.abs(result.freq - center) <= window
+def central_intensity_curve(result: ScanResult2D, center: float = 0.0) -> CentralCurve:
+    """Integrate each map row over |f - center| <= _WINDOW_GHZ = 0.5 GHz."""
+    mask = np.abs(result.freq - center) <= _WINDOW_GHZ
     if mask.sum() < 3:
         raise CoverageError("map grid has too few points inside the window")
     vals = np.trapezoid(result.intensity[:, mask], result.freq[mask], axis=1)
-    return CentralCurve(
-        delta2=result.delta2.copy(),
-        intensity=vals,
-        window_ghz=float(window),
-        center_ghz=float(center),
-    )
+    return CentralCurve(delta2=result.delta2.copy(), intensity=vals, center_ghz=float(center))
 
 
 def _vertex(x, y, i):
@@ -240,13 +233,7 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     def model(p):
         d1, scale = p
         delta = d2 - 2.0 * strong_rabi - d1  # beat Delta3 - Delta1 at each point
-        theta, g_eff, d_pair, _lam, _phi = _quartet(strong_rabi, d1, weak_rabi, delta)
-        # unnormalized line-1 weight of dressed.doubly_dressed_lines, with
-        # cos^2 2 phi = d_pair^2 / Lambda^2 (1 where Lambda = 0); Lambda^2
-        # as a sum of squares, not hypot^2, keeps the fit bit-identical
-        lam2 = d_pair * d_pair + 4.0 * g_eff * g_eff
-        cos2p_sq = np.divide(d_pair * d_pair, lam2, out=np.ones_like(lam2), where=lam2 > 0.0)
-        return scale * ((np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq)
+        return scale * _central_weight(strong_rabi, d1, weak_rabi, delta)
 
     w0 = model((d1_init, 1.0))
     top = float(np.max(w0))
@@ -416,7 +403,6 @@ def degenerate_spectrum(
     alpha: float,
     grid,
     method: str = "phase_average",
-    n_phases: int = 256,
     strict: bool = False,
 ) -> bloch.Spectrum:
     """Spectrum for two drives at the same frequency (power ratio alpha).
@@ -426,12 +412,14 @@ def degenerate_spectrum(
     Omega sqrt(1 + alpha + 2 sqrt(alpha) cos phi), which flattens the
     sidebands into plateaus spanning 2 Omega (1 +- sqrt(alpha)).
 
-    ``phase_average`` averages monochromatic spectra over ``n_phases``
-    phases in one stacked resolvent sum (phases phi and 2 pi - phi
-    share one member of weight 2), on a grid covering the largest
-    effective splitting; ``small_delta`` instead runs the bichromatic
-    engine at a beat detuning of one twentieth of the radiative
-    linewidth, gamma_sp / (2 pi) / 20, so the phase is swept
+    ``phase_average`` averages monochromatic spectra over _N_PHASES =
+    256 evenly spaced phases in one stacked resolvent sum (phases phi
+    and 2 pi - phi share one member of weight 2), on a grid covering the
+    largest effective splitting.  Against 4096 phases the average is off
+    by at most 1.4e-13 of the peak for alpha <= 0.4, 2.9e-10 at
+    alpha = 0.8 and 1.2e-7 at alpha = 1.  ``small_delta`` instead runs
+    the bichromatic engine at a beat detuning of one twentieth of the
+    radiative linewidth, gamma_sp / (2 pi) / 20, so the phase is swept
     physically.  Both see the same distribution.  ``strict`` is passed
     on to emission_spectrum.
     """
@@ -439,14 +427,12 @@ def degenerate_spectrum(
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValidationError("alpha (power ratio) must be non-negative")
     if method == "phase_average":
-        if n_phases < 8:
-            raise ValidationError("need at least eight phases to average")
         # phases phi and 2 pi - phi give the same Rabi frequency, so only
         # k = 0 .. n/2 are solved, the paired ones with weight 2
-        k = np.arange(n_phases // 2 + 1)
-        phases = TWO_PI * k / n_phases
+        k = np.arange(_N_PHASES // 2 + 1)
+        phases = TWO_PI * k / _N_PHASES
         rabis = strong.rabi * np.abs(1.0 + np.sqrt(alpha) * np.exp(1j * phases))
-        weights = np.where((k == 0) | (2 * k == n_phases), 1.0, 2.0)
+        weights = np.where((k == 0) | (2 * k == _N_PHASES), 1.0, 2.0)
         return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid, weights)
     if method == "small_delta":
         epsilon = emitter.gamma_sp / TWO_PI / 20.0

@@ -16,7 +16,6 @@ from bifluor.config import (
     build_grid,
     build_strong_drive,
     parse_config_text,
-    weak_rabi_from_config,
 )
 from bifluor.dressed import doubly_dressed_lines
 from bifluor.emitter import DriveField
@@ -102,24 +101,16 @@ class TestConfigBuilders:
         assert strong.rabi == 2.9
         assert strong.detuning == 0.0
 
-    def test_weak_field_from_alpha_or_splitting(self):
-        cfg = parse_config_text("[drive]\nrabi2_strong_ghz = 5.8\nalpha = 0.3\n")
-        strong = build_strong_drive(cfg)
-        assert weak_rabi_from_config(cfg, strong) == pytest.approx(0.5 * 0.3 * 2.9)
-        cfg2 = parse_config_text(
-            "[drive]\nrabi2_strong_ghz = 5.8\nrabi2_weak_ghz = 1.74\n"
-        )
-        assert weak_rabi_from_config(cfg2, build_strong_drive(cfg2)) == 0.87
-
     def test_weak_field_keys_are_exclusive_and_required(self):
-        both = parse_config_text(
-            "[drive]\nrabi2_strong_ghz = 5.8\nalpha = 0.3\nrabi2_weak_ghz = 1\n"
-        )
-        with pytest.raises(ConfigError, match="mutually exclusive"):
-            weak_rabi_from_config(both, build_strong_drive(both))
-        neither = parse_config_text("[drive]\nrabi2_strong_ghz = 5.8\n")
-        with pytest.raises(ConfigError, match="need exactly one"):
-            weak_rabi_from_config(neither, build_strong_drive(neither))
+        # drive.alpha is the power ratio of `degenerate`, never a weak field
+        drive = "[drive]\nrabi2_strong_ghz = 5.8\ndetuning_weak_ghz = -5.8\n"
+        alpha_only = parse_config_text(drive + "alpha = 0.3\n")
+        with pytest.raises(ConfigError, match="missing required key drive.rabi2_weak_ghz"):
+            build_bichromatic_drive(alpha_only)
+        both = parse_config_text(drive + "alpha = 0.3\nrabi2_weak_ghz = 1\n")
+        assert build_bichromatic_drive(both).weak.rabi == 0.5
+        with pytest.raises(ConfigError, match="unknown key drive.alpha"):
+            both.raise_on_unused()
 
     def test_bichromatic_drive_round_trip(self):
         cfg = parse_config_text(
@@ -141,6 +132,14 @@ class TestConfigBuilders:
         )
         with pytest.raises(ConfigError):
             build_grid(bad)
+
+    def test_grid_step_must_divide_the_span(self):
+        # 18 / 0.7 is not whole: linspace would space 27 points 0.6923 GHz apart
+        cfg = parse_config_text(
+            "[numerics]\ngrid_min_ghz = -9\ngrid_max_ghz = 9\ngrid_step_ghz = 0.7\n"
+        )
+        with pytest.raises(ConfigError, match=r"<config>:4: grid_step_ghz = 0\.7 does not divide"):
+            build_grid(cfg)
 
 
 class TestCsvIO:
@@ -546,6 +545,42 @@ grid_step_ghz = 0.02
         assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "etalon parameters must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_subharmonics_needs_at_least_one_worker(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path, SUBHARMONICS_CFG)
+        out = tmp_path / "out"
+        args = ["subharmonics", "--config", cfg, "--out", str(out), f"--workers={workers}"]
+        assert cli.main(args) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (out / "metadata.txt").exists()
+
+    def test_infinite_lifetime_exits_one(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MOLLOW_CFG.replace("t1_ps = 390", "t1_ps = inf"))
+        assert cli.main(["mollow", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "lifetimes must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (
+                "spectrum",
+                SPECTRUM_CFG.replace("rabi2_weak_ghz = 1.74", "alpha = 0.6"),
+                "missing required key drive.rabi2_weak_ghz",
+            ),
+            (
+                "map",
+                MAP_CFG.replace("rabi2_weak_ghz = 1.74", "rabi2_weak_ghz = 1.74\nalpha = 0.6"),
+                "unknown key drive.alpha",
+            ),
+        ],
+        ids=["spectrum-alpha-only", "map-alpha-and-splitting"],
+    )
+    def test_alpha_is_not_a_weak_field_key(self, tmp_path, capsys, command, text, message):
+        # drive.alpha is the power ratio that only `degenerate` reads
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, text, key",
         [
@@ -590,6 +625,12 @@ grid_step_ghz = 0.02
                 "numerics.n_phases",
             ),
             ("subharmonics", SUBHARMONICS_CFG + "tau_factor = 35\n", "scan.tau_factor"),
+            pytest.param(
+                "degenerate",
+                DEGENERATE_CFG + "n_phases = 64\n",
+                "numerics.n_phases",
+                id="degenerate-phase-average",
+            ),
         ],
     )
     def test_time_stepping_keys_are_rejected_as_removed(
@@ -616,8 +657,9 @@ grid_step_ghz = 0.02
             ("map", "delta2_step_ghz = nan", "needs finite min, max and step"),
             ("map", "delta2_step_ghz = 0", "delta2_step_ghz must be positive"),
             ("subharmonics", "delta3_step_ghz = 1e-6", "delta3 would hold 12000001 points"),
+            ("map", "delta2_step_ghz = 0.3", "delta2_step_ghz = 0.3 does not divide"),
         ],
-        ids=["oversized", "not-finite", "zero-step", "oversized-delta3"],
+        ids=["oversized", "not-finite", "zero-step", "oversized-delta3", "uneven-step"],
     )
     def test_bad_scan_axis_exits_one_before_any_row(
         self, tmp_path, capsys, monkeypatch, command, step, message
@@ -635,12 +677,6 @@ grid_step_ghz = 0.02
         cfg = write_cfg(tmp_path, text)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
-
-    def test_phase_average_keeps_its_phase_count(self, tmp_path):
-        cfg = write_cfg(tmp_path, DEGENERATE_CFG + "n_phases = 64\n")
-        out = tmp_path / "out"
-        assert cli.main(["degenerate", "--config", cfg, "--out", str(out)]) == 0
-        assert "config.numerics.n_phases=64" in (out / "metadata.txt").read_text()
 
     def test_version_and_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -38,6 +38,13 @@ def test_nonpositive_lifetimes_rejected(t1, t2):
         derive_rates(t1, t2)
 
 
+@pytest.mark.parametrize("t1,t2", [(math.inf, 424.0), (390.0, math.inf), (math.inf, math.inf)])
+def test_non_finite_lifetimes_rejected(t1, t2):
+    # an infinite t1 would be an emitter that never emits (gamma_sp = 0)
+    with pytest.raises(ValidationError, match="positive and finite"):
+        EmitterParams(t1=t1, t2=t2)
+
+
 def test_emitter_params_expose_rates():
     em = EmitterParams(t1=390.0, t2=424.0)
     assert em.gamma_sp == pytest.approx(1000.0 / 390.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bifluor import fitting
 from bifluor.errors import FitFailure
 from bifluor.fitting import gauss_newton
 
@@ -45,9 +46,10 @@ def rosenbrock(P):
     return np.hstack([1.0 - x, 10.0 * (y - x * x)])
 
 
-def test_running_out_of_iterations_carries_the_last_iterate():
+def test_running_out_of_iterations_carries_the_last_iterate(monkeypatch):
+    monkeypatch.setattr(fitting, "_MAX_ITER", 2)
     with pytest.raises(FitFailure, match="after 2 iterations") as info:
-        gauss_newton(rosenbrock, np.array([-1.2, 1.0]), max_iter=2)
+        gauss_newton(rosenbrock, np.array([-1.2, 1.0]))
     last = info.value.result
     assert last.n_iter == 2 and not last.converged
     assert np.all(np.isfinite(last.params))
@@ -55,7 +57,7 @@ def test_running_out_of_iterations_carries_the_last_iterate():
     assert last.cost == pytest.approx(float(last.residual @ last.residual), rel=1e-15)
 
 
-def test_non_finite_trial_steps_are_rejected():
+def test_non_finite_trial_steps_are_rejected(monkeypatch):
     # finite at the start and on every Jacobian stack, NaN at every later trial
     # point: no step is ever accepted, so the fit gives up in its first iteration
     calls = []
@@ -68,8 +70,9 @@ def test_non_finite_trial_steps_are_rejected():
         return r
 
     start = np.array([-1.2, 1.0])
+    monkeypatch.setattr(fitting, "_MAX_ITER", 50)
     with pytest.raises(FitFailure, match="iteration 1") as info:
-        gauss_newton(residual, start, max_iter=50)
+        gauss_newton(residual, start)
     last = info.value.result
     assert last.n_iter == 1 and not last.converged
     assert np.array_equal(last.params, start)

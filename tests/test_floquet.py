@@ -122,7 +122,9 @@ def test_cutoff_doubling_leaves_the_spectrum_unchanged(emitter, drive, fine_grid
     # a steady state solved at four times the cutoff makes the resolvent
     # start (and stop) at a cutoff at least twice the converged one
     pl, state = steady(emitter, drive)
-    wide = periodic_steady_state(pl, cutoff=4 * state.cutoff)
+    k = 4 * state.cutoff
+    harmonics = floquet._solve_balance(pl, k)
+    wide = floquet.PeriodicState(harmonics=harmonics, cutoff=k, delta=pl.delta)
     assert wide.cutoff == 4 * state.cutoff
     base = emission_spectrum(pl, state, fine_grid)
     doubled = emission_spectrum(pl, wide, fine_grid)
