@@ -101,12 +101,21 @@ class TestConfigBuilders:
         assert strong.rabi == 2.9
         assert strong.detuning == 0.0
 
-    def test_weak_field_keys_are_exclusive_and_required(self):
-        # drive.alpha is the power ratio of `degenerate`, never a weak field
+    def test_weak_field_from_alpha_or_splitting(self):
+        # drive.alpha is the power ratio of `degenerate`, never a weak field:
+        # the weak field comes from its splitting alone
         drive = "[drive]\nrabi2_strong_ghz = 5.8\ndetuning_weak_ghz = -5.8\n"
         alpha_only = parse_config_text(drive + "alpha = 0.3\n")
         with pytest.raises(ConfigError, match="missing required key drive.rabi2_weak_ghz"):
             build_bichromatic_drive(alpha_only)
+        splitting = parse_config_text(drive + "rabi2_weak_ghz = 1.74\n")
+        assert build_bichromatic_drive(splitting).weak.rabi == 0.87
+
+    def test_weak_field_keys_are_exclusive_and_required(self):
+        drive = "[drive]\nrabi2_strong_ghz = 5.8\ndetuning_weak_ghz = -5.8\n"
+        neither = parse_config_text(drive)
+        with pytest.raises(ConfigError, match="missing required key drive.rabi2_weak_ghz"):
+            build_bichromatic_drive(neither)
         both = parse_config_text(drive + "alpha = 0.3\nrabi2_weak_ghz = 1\n")
         assert build_bichromatic_drive(both).weak.rabi == 0.5
         with pytest.raises(ConfigError, match="unknown key drive.alpha"):
