@@ -41,7 +41,7 @@ from .config import (
 )
 from .dressed import doubly_dressed_lines
 from .emitter import EmitterParams, DriveField
-from .errors import BifluorError
+from .errors import BifluorError, ConfigError
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 from .scans import (
     EtalonFilter,
@@ -132,6 +132,8 @@ def _cmd_map(args, cfg: ConfigFile):
     axis = build_axis(cfg, "scan.delta2")
     want_fit = cfg.get_bool("scan.fit_delta1", False)
     cfg.raise_on_unused()
+    if want_fit and not weak_rabi > 0.0:
+        raise ConfigError(f"{cfg.path}: scan.fit_delta1 needs drive.rabi2_weak_ghz > 0")
     result = detuning_map(
         emitter,
         strong,

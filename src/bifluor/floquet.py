@@ -37,7 +37,12 @@ trace mode (and with it every singular block at nu = -k delta) is
 absent.  The harmonic cutoff is chosen on a subsample of the grid, then
 the whole grid is solved in one batched Thomas sweep that keeps, per
 frequency, only the last elimination step and the affine map from x_0
-to the edge harmonic.  A cutoff is accepted when both edge harmonics
+to the edge harmonic.  The sweep runs both halves (k > 0 and k < 0) in
+one loop: swapping x_eg and x_ge (Pi) makes the k < 0 half an image of
+the k > 0 half, since Pi lm Pi has the zero pattern of lp.  Each
+coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
+so every block is an arrow around x_ee, eliminated entry by entry on
+(2, n) arrays.  A cutoff is accepted when both edge harmonics
 are within EDGE_TOL of the largest x_0 on the grid: the steady state
 and the spectrum share that one tolerance.
 
@@ -92,7 +97,6 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 NUMBER = SIGMA_P @ SIGMA_M
 # a traceless vector x is _FROM_TRACELESS @ x[1:], since x_gg = -x_ee
 _FROM_TRACELESS = np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-_DIAG3 = np.arange(3)
 
 EDGE_TOL = 1e-8  # edge harmonic over the central one at which a cutoff is accepted
 CUTOFF_CEILING = 4096  # largest harmonic cutoff of the spectrum resolvent
@@ -347,52 +351,13 @@ def _incoherent_seed(state: PeriodicState, cutoff: int) -> np.ndarray:
     return seed
 
 
-def _inv3(a: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of 3x3 matrices, stack axis last (cofactors)."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
-    adj = np.array(
-        [
-            [c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11],
-            [c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12],
-            [c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10],
-        ]
-    )
-    return adj * (1.0 / (a00 * c00 + a01 * c01 + a02 * c02))
-
-
-def _block(l0, shift, carry=None, couple=None):
-    """i shift - l0 - couple @ carry over a frequency stack, axis last."""
-    if carry is None:
-        a = np.repeat(-l0[:, :, None], shift.size, axis=2)
-    else:
-        a = -l0[:, :, None] - (couple @ carry.reshape(3, -1)).reshape(carry.shape)
-    a[_DIAG3, _DIAG3] += 1j * shift
-    return a
-
-
-def _half_sweep(nu, delta, l0, seed, cutoff, sign, couple_in, couple_out):
-    """Eliminate harmonics sign*cutoff .. sign*1 toward k = 0, keeping no
-    records: returns the last step, x_sign = mat x_0 + vec, and the map to
-    the edge, x_{sign cutoff} = edge_mat x_0 + edge_vec; frequency axis last.
-    """
-    mat = vec = None
-    edge_mat, edge_vec = np.eye(3)[:, :, None], 0.0
-    for j in range(cutoff, 0, -1):
-        rhs = seed[cutoff + sign * j][:, None]
-        if mat is not None:
-            rhs = rhs + couple_out @ vec
-        inv = _inv3(_block(l0, nu + sign * j * delta, mat, couple_out))
-        # mat[i] = couple_in.T @ inv[i] is inv @ couple_in at every frequency
-        mat, vec = couple_in.T @ inv, (inv * rhs).sum(axis=1)
-        edge_vec = edge_vec + (edge_mat * vec).sum(axis=1)
-        prod = edge_mat[:, 0, None] * mat[0]  # edge_mat @ mat, in place
-        prod += edge_mat[:, 1, None] * mat[1]
-        prod += edge_mat[:, 2, None] * mat[2]
-        edge_mat = prod
-    return mat, vec, edge_mat, edge_vec
+# lm, the e^{-i delta t} coupling, feeds x_{k+1} into the coherence _S and the
+# population _H, from _H and the other coherence _F.  l0 couples _H to both
+# coherences but never _S to _F, so every block of the sweep is an arrow: two
+# spokes that touch only the hub.
+(_S, _H), (_, _F) = np.nonzero((spre(SIGMA_P) - spost(SIGMA_P))[1:] @ _FROM_TRACELESS)
+# coordinates of the up half, and of the down half with the coherences swapped
+_HALVES = np.array([[_S, _F, _H], [_F, _S, _H]])
 
 
 def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, cutoff: int):
@@ -404,24 +369,83 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, 
     also where nu = -k delta.  Returns x_0 in those coordinates, shape
     (3, n), and at every nu the larger norm of the two edge harmonics
     over the largest norm of x_0 on ``nu``, shape (n,).
+
+    Both halves are eliminated toward k = 0 in one loop, on arrays whose
+    first axis is the half.  In the down half's coordinates the two
+    coherences are swapped (Pi), which turns it into an up half: Pi lm Pi
+    couples like lp, Pi lp Pi like lm, and Pi l0 Pi keeps l0's zeros.  In
+    these coordinates (spoke 0, spoke 1, hub 2) the outward coupling
+    fills (0, 2) and (2, 1), the inward one (1, 2) and (2, 0), and every
+    block, Schur term included, is an arrow solved by scalar formulas.
+    The map from x_0 to the edge harmonic has rank one after two steps,
+    so it is carried as a scalar affine map.
     """
     l0, lp, lm = _traceless(pl)
-    rhs = seed[cutoff][:, None]
-    if cutoff > 0:
-        up = _half_sweep(nu, pl.delta, l0, seed, cutoff, +1, lp, lm)
-        down = _half_sweep(nu, pl.delta, l0, seed, cutoff, -1, lm, lp)
-        center = _block(l0, nu, up[0], lm)
-        center -= (lp @ down[0].reshape(3, -1)).reshape(center.shape)
-        rhs = rhs + lm @ up[1] + lp @ down[1]
-    else:
-        center = _block(l0, nu)
-    x0 = (_inv3(center) * rhs).sum(axis=1)
+    up, down = (np.ix_(p, p) for p in _HALVES)
+    neg = -np.stack([l0[up], l0[down]])  # axes (half, row, col)
+    o02, o21 = np.stack([lm[up], lp[down]])[:, [0, 2], [2, 1]].T[..., None]  # outward
+    i12, i20 = np.stack([lp[up], lm[down]])[:, [1, 2], [2, 0]].T[..., None]  # inward
+    c02, c20, c12, c21 = neg[:, [0, 2, 1, 2], [2, 0, 2, 1]].T[..., None]
+    # the next block's Schur term o02 inv22 i20 at (0, 0), o02 inv21 i12 at
+    # (0, 2), o21 inv12 i20 at (2, 0), o21 inv11 i12 at (2, 2); the signs of
+    # inv21 = -vw and inv12 = -uw are folded into m02 and m20
+    m00, m02, m20, m22 = o02 * i20, -o02 * i12, -o21 * i20, o21 * i12
+    c1221, ni12 = c12 * c21, -i12
+    d0, d1, d2 = (1j * np.asarray(nu) + neg[:, i, i, None] for i in range(3))
+    ks = np.arange(cutoff + 1)
+    seeds = np.stack(
+        [seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2
+    )[..., None]
+    shift = 1j * pl.delta * np.array([[1.0], [-1.0]])
+    s00 = s02 = s20 = s22 = z0 = z1 = z2 = 0.0
+    for j in range(cutoff, 0, -1):
+        # x_j = inv (inward x_{j-1} + r), r = seed_j + outward z_{j+1}, z_j = inv r
+        t = j * shift
+        p1 = 1.0 / (d1 + t)
+        a02, a20 = c02 - s02, c20 - s20
+        p0 = 1.0 / (d0 + t - s00)
+        u0, v0, u1, v1 = a02 * p0, a20 * p0, c12 * p1, c21 * p1
+        w = 1.0 / (d2 + t - s22 - v0 * a02 - c1221 * p1)  # inv22
+        r0, r1, r2 = seeds[j]
+        r0 = r0 + o02 * z2
+        z2 = w * (r2 + o21 * z1 - v0 * r0 - v1 * r1)
+        z0, z1 = p0 * r0 - u0 * z2, p1 * r1 - u1 * z2
+        vw, uw = v1 * w, u1 * w
+        inv11 = p1 + u1 * vw
+        s00, s02, s20, s22 = m00 * w, m02 * vw, m20 * uw, m22 * inv11
+        # (hub, spoke 0) of block j is (w, -u0 w) eta_j + (z2, z0), with
+        # eta_j = bq hub_{j-1} + i20 spoke_{j-1}
+        if j == cutoff:  # x_c = fx hub_{c-1} + fz spoke_{c-1} + e
+            fx = (u0 * vw * i12, inv11 * i12, -vw * i12)
+            fz = (-u0 * w * i20, -uw * i20, w * i20)
+            e = (z0, z1, z2)
+        elif j == cutoff - 1:  # (hub, spoke 0)_{c-1} = lead (gain eta_j + acc) + tail
+            lead, tail, gain, acc = (w, -u0 * w), (z2, z0), 1.0, 0.0
+        else:  # eta_{j+1} = w (bq - i20 u0) eta_j + bq z2 + i20 z0
+            acc = acc + gain * (bq * z2 + i20 * z0)
+            gain = gain * w * (bq - i20 * u0)
+        bq = ni12 * v1
+    # k = 0: one arrow whose spokes are the up half's spoke 0 (_S) and the
+    # down half's (_F), around the shared hub
+    a02, a20 = c02 - s02, c20 - s20
+    p0 = 1.0 / (d0 - s00)
+    v0 = a20 * p0
+    r0, _, r2 = seeds[0]
+    r0 = r0 + o02 * z2
+    hub = (r2[0] + (o21 * z1 - v0 * r0).sum(axis=0)) / (d2[0] - (s22 + v0 * a02).sum(axis=0))
+    spokes = p0 * (r0 - a02 * hub)
+    x0 = np.empty((3, hub.size), dtype=complex)
+    x0[_HALVES[:, 0]], x0[_H] = spokes, hub
     if not np.all(np.isfinite(x0)):
         raise SingularSystemError("resolvent solve hit a singular block")
     if cutoff == 0:
-        return x0, np.zeros(nu.size)
-    edge = [np.linalg.norm((m * x0).sum(axis=1) + v, axis=0) for _m, _v, m, v in (up, down)]
-    return x0, np.maximum(*edge) / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
+        return x0, np.zeros(hub.size)
+    pair = (hub, spokes)
+    if cutoff > 1:
+        eta = gain * (bq * hub + i20 * spokes) + acc
+        pair = (lead[0] * eta + tail[0], lead[1] * eta + tail[1])
+    edge = np.linalg.norm([x * pair[0] + z * pair[1] + c for x, z, c in zip(fx, fz, e)], axis=0)
+    return x0, edge.max(axis=0) / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
 
 
 def emission_spectrum(

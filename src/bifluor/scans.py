@@ -220,7 +220,11 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     resonance, which tracks Delta1; a two-parameter (detuning, scale)
     fit of the secular central weight against the measured curve pins
     it down.  Initialized from a parabola through the curve minimum.
+    Without a weak field the curve does not depend on Delta1, so a
+    ``weak_rabi`` of zero or less raises ValidationError.
     """
+    if not weak_rabi > 0.0:
+        raise ValidationError("fitting Delta1 needs a weak field: the curve is flat without one")
     good = np.isfinite(curve.intensity)
     d2 = curve.delta2[good]
     y = curve.intensity[good]

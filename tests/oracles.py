@@ -66,6 +66,35 @@ def generator_parts(t1_ps, t2_ps, rabi, detuning, weak_rabi, weak_detuning, phas
     return l0, lp, lm, delta
 
 
+def sambe_dense_solve(l0, lp, lm, delta, seed, nu):
+    """Every harmonic of the truncated Sambe resolvent, one dense solve per nu.
+
+    Solves (i nu + i k delta - l0) x_k - lp x_{k-1} - lm x_{k+1} = seed_k
+    for |k| <= cutoff, the 3 (2 cutoff + 1) unknowns assembled into one
+    matrix.  The parts come from generator_parts; ``seed`` holds
+    row-major vectors of zero trace, shape (2 cutoff + 1, 4).  The
+    unknowns are the traceless coordinates (ge, eg, ee), with gg = -ee
+    and the redundant gg row dropped, so the system stays regular at
+    nu = -k delta.  Returns row-major vectors, shape (len(nu), 2 cutoff + 1, 4).
+    """
+    size = seed.shape[0]
+    cutoff = (size - 1) // 2
+    embed = np.array([[0, 0, -1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    r0, rp, rm = (m[1:] @ embed for m in (l0, lp, lm))
+    coupled = (
+        np.kron(np.eye(size), r0)
+        + np.kron(np.eye(size, k=-1), rp)  # x_{k-1} into row k
+        + np.kron(np.eye(size, k=1), rm)  # x_{k+1} into row k
+    )
+    orders = np.repeat(np.arange(-cutoff, cutoff + 1), 3)
+    rhs = seed[:, 1:].ravel()
+    out = []
+    for f in np.atleast_1d(nu):
+        x = np.linalg.solve(np.diag(1j * (f + orders * delta)) - coupled, rhs)
+        out.append(x.reshape(size, 3) @ embed.T)
+    return np.array(out)
+
+
 def _beat_propagators(l0, lp, lm, delta, period, n_steps):
     dt = period / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt

@@ -353,6 +353,18 @@ class TestCli:
         assert "\nstrict=False\nworkers=1\n" in meta
         assert "fitted strong detuning" in capsys.readouterr().out
 
+    def test_detuning_fit_without_weak_field_exits_one_before_any_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a scan started")
+
+        monkeypatch.setattr(cli, "detuning_map", no_rows)
+        cfg = write_cfg(tmp_path, MAP_CFG.replace("rabi2_weak_ghz = 1.74", "rabi2_weak_ghz = 0"))
+        assert cli.main(["map", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "scan.fit_delta1" in err and "drive.rabi2_weak_ghz" in err
+
     def test_subharmonics_without_weak_field_reports_no_dips(self, tmp_path):
         text = """\
 [emitter]

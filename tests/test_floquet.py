@@ -11,6 +11,7 @@ from oracles import (
     brute_periodic_state,
     brute_spectrum,
     generator_parts,
+    sambe_dense_solve,
     window_weight,
 )
 from bifluor import floquet
@@ -271,6 +272,53 @@ drives = st.tuples(
     st.floats(0.1, 1.0),  # weak half splitting G
     st.floats(1.0, 8.0) | st.floats(-8.0, -1.0),  # beat Delta3 - Delta1
 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives, st.floats(0.0, 6.2))
+def test_the_couplings_have_the_sparsity_the_sweep_uses(times, params, phase):
+    pl = build_periodic_liouvillian(EmitterParams(*times), random_drive(*params, phase=phase))
+    l0, lp, lm = floquet._traceless(pl)
+    eg, ge, ee = range(3)
+    assert (floquet._S, floquet._F, floquet._H) == (eg, ge, ee)
+    assert set(zip(*np.nonzero(lp))) == {(ge, ee), (ee, eg)}
+    assert set(zip(*np.nonzero(lm))) == {(eg, ee), (ee, ge)}
+    swap = np.ix_([ge, eg, ee], [ge, eg, ee])  # Pi
+    assert np.array_equal(lm[swap] != 0.0, lp != 0.0)
+    assert l0[eg, ge] == 0.0 and l0[ge, eg] == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lifetimes,
+    st.floats(1.0, 4.0),
+    st.floats(0.2, 1.5) | st.floats(-1.5, -0.2),  # Delta1 != 0
+    st.floats(0.1, 1.0),
+    st.floats(1.0, 8.0) | st.floats(-8.0, -1.0),
+    st.floats(0.1, 6.2),  # relative phase != 0
+    st.sampled_from([1, 2, 16]),
+    st.integers(0, 2**32 - 1),
+)
+def test_resolvent_matches_a_dense_solve(times, rabi, d1, weak_rabi, beat, phase, cutoff, key):
+    em = EmitterParams(*times)
+    pl = build_periodic_liouvillian(em, random_drive(rabi, d1, weak_rabi, beat, phase))
+    parts = generator_parts(*times, rabi, d1, weak_rabi, d1 + beat, phase)
+    rng = np.random.default_rng(key)
+    # exactly on nu = -k delta, where only the traceless blocks stay regular, and off it
+    nu = np.concatenate([-np.arange(-2, 3) * pl.delta, rng.uniform(-60.0, 60.0, 3)])
+    orders = np.arange(-cutoff, cutoff + 1)[:, None]
+    full = rng.standard_normal((orders.size, 3)) + 1j * rng.standard_normal((orders.size, 3))
+    # a seed on one half only makes that half's edge harmonic the larger one
+    for seed in (full, full * (orders <= 0), full * (orders >= 0)):
+        x0, edge = floquet._sambe_resolvent(pl, seed, nu, cutoff)
+        eg, ge, ee = seed.T  # row-major (gg, ge, eg, ee), gg = -ee
+        dense = sambe_dense_solve(*parts, np.stack([-ee, ge, eg, ee], axis=1), nu)
+        ref = dense[:, :, [2, 1, 3]]  # (eg, ge, ee) of every harmonic
+        scale = np.abs(ref[:, cutoff]).max()
+        assert np.abs(x0.T - ref[:, cutoff]).max() <= 1e-12 * scale
+        norms = np.linalg.norm(ref, axis=2)
+        ref_edge = np.maximum(norms[:, 0], norms[:, -1]) / norms[:, cutoff].max()
+        assert np.abs(edge - ref_edge).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

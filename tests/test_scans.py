@@ -125,6 +125,13 @@ class TestCentralCurveFit:
         spread = curve.intensity.max() - curve.intensity.min()
         assert spread <= 1e-6 * curve.intensity.max()
 
+    def test_fit_refuses_a_curve_without_weak_field(self, emitter, strong):
+        # the flat curve does not depend on Delta1, so no fit may claim one
+        grid = np.round(np.arange(-90, 91) * 0.1, 1)
+        result = detuning_map(emitter, strong, 0.0, np.linspace(-1, 1, 5), grid)
+        with pytest.raises(ValidationError, match="needs a weak field"):
+            fit_delta1(central_intensity_curve(result), 2.9, 0.0)
+
     def test_curve_window_validation(self, emitter, strong):
         # a 0.6 GHz grid puts one point inside the +-0.5 GHz window
         grid = np.round(np.arange(-15, 16) * 0.6, 1)
