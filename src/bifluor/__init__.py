@@ -59,7 +59,6 @@ from .floquet import (
     PeriodicState,
     build_periodic_liouvillian,
     emission_spectrum,
-    half_fourier,
     periodic_steady_state,
 )
 from .scans import (
@@ -98,7 +97,6 @@ __all__ = [
     "build_periodic_liouvillian",
     "periodic_steady_state",
     "emission_spectrum",
-    "half_fourier",
     "DoublyDressedLines",
     "doubly_dressed_lines",
     "central_line_amplitude",

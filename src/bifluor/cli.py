@@ -68,27 +68,26 @@ def _prepare_out(out_dir: str) -> str:
     return out_dir
 
 
-def _write_metadata(args, cfg: ConfigFile, started: str, notes, extra=None):
-    lines = [
-        f"command={args.command}",
-        f"version={__version__}",
-        f"started_utc={started}",
-        f"finished_utc={_utcnow()}",
-        f"config_path={cfg.path}",
-        f"out={args.out}",
-    ]
-    for flag in ("strict", "workers"):
-        if hasattr(args, flag):
-            lines.append(f"{flag}={getattr(args, flag)}")
-    for key, val in (extra or {}).items():
-        lines.append(f"{key}={val}")
-    for key, val in cfg.effective().items():
-        lines.append(f"config.{key}={val}")
-    lines.append(f"n_warnings={len(notes)}")
-    for i, note in enumerate(notes):
-        lines.append(f"warning_{i}={note}")
-    text = "\n".join(lines) + "\n---config---\n" + cfg.text
+def _write_metadata(args, cfg: ConfigFile, started: str, notes, extra: dict):
+    entries = {
+        "command": args.command,
+        "version": __version__,
+        "started_utc": started,
+        "finished_utc": _utcnow(),
+        "config_path": cfg.path,
+        "out": args.out,
+        **{flag: getattr(args, flag) for flag in ("strict", "workers") if hasattr(args, flag)},
+        **extra,
+        **{f"config.{key}": val for key, val in cfg.effective().items()},
+        **_numbered("warning", notes),
+    }
+    text = csvio._keyvalue_text(entries) + "---config---\n" + cfg.text
     csvio.atomic_write_text(os.path.join(args.out, "metadata.txt"), text)
+
+
+def _numbered(name: str, items) -> dict:
+    """n_<name>s, then one <name>_<i> entry per item."""
+    return {f"n_{name}s": len(items), **{f"{name}_{i}": item for i, item in enumerate(items)}}
 
 
 def _cmd_mollow(args, cfg: ConfigFile):
@@ -152,12 +151,10 @@ def _cmd_map(args, cfg: ConfigFile):
         curve.intensity,
         x_name="delta2_ghz",
     )
-    extra = {"n_failures": len(result.failures)}
-    for i, (d2, msg) in enumerate(result.failures):
-        extra[f"failure_{i}"] = f"delta2={d2!r}: {msg}"
+    extra = _numbered("failure", [f"delta2={d2}: {msg}" for d2, msg in result.failures])
     if want_fit:
         fit = fit_delta1(curve, strong.rabi, weak_rabi)
-        extra["fit_delta1_ghz"] = repr(fit.delta1)
+        extra["fit_delta1_ghz"] = fit.delta1
         extra["fit_delta1_converged"] = fit.converged
         print(f"fitted strong detuning: {fit.delta1:.4g} GHz")
     print(
@@ -210,10 +207,8 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         f"wrote subharmonics.csv ({axis.size} points) and dip_report.csv; "
         f"{len(scan.failures)} failed rows"
     )
-    extra = {"n_dips": len(scan.dips), "n_failures": len(scan.failures)}
-    for i, (d3, msg) in enumerate(scan.failures):
-        extra[f"failure_{i}"] = f"delta3={d3!r}: {msg}"
-    return extra
+    failures = [f"delta3={d3}: {msg}" for d3, msg in scan.failures]
+    return {"n_dips": len(scan.dips), **_numbered("failure", failures)}
 
 
 def _cmd_degenerate(args, cfg: ConfigFile):
@@ -227,11 +222,8 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)
     extra = {"method": method}
     try:
-        lo, hi = plateau_edges(
-            spec.freq, spec.intensity, strong.rabi, alpha, strong.detuning
-        )
-        extra["plateau_low_ghz"] = repr(lo)
-        extra["plateau_high_ghz"] = repr(hi)
+        lo, hi = plateau_edges(spec.freq, spec.intensity, strong.rabi, alpha, strong.detuning)
+        extra.update(plateau_low_ghz=lo, plateau_high_ghz=hi)
         print(f"wrote degenerate.csv; upper plateau [{lo:.4g}, {hi:.4g}] GHz")
     except BifluorError:
         print("wrote degenerate.csv; plateau edges not resolvable")
@@ -275,7 +267,7 @@ def _cmd_fit(args, cfg: ConfigFile):
         f"fit: Rabi splitting {fit.rabi2:.4f} GHz, T2 {fit.t2_ps:.2f} ps "
         f"({fit.n_iter} iterations, converged={fit.converged})"
     )
-    return {key: repr(val) for key, val in result.items()}
+    return result
 
 
 _COMMANDS = {

@@ -38,6 +38,19 @@ _MISSING = object()
 REMOVED_KEYS = ("numerics.tau_max_ns", "numerics.n_phases", "scan.tau_factor")
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
+
+
+def _parse_int_list(raw: str) -> tuple:
+    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+
+
 @dataclass
 class ConfigFile:
     path: str
@@ -52,88 +65,47 @@ class ConfigFile:
     def line(self, key: str) -> int:
         return self.entries[key][1]
 
-    def _raw(self, key: str, default):
-        if key in self.entries:
-            self.accessed.add(key)
-            return self.entries[key][0]
-        if default is _MISSING:
-            raise ConfigError(f"{self.path}: missing required key {key}")
-        self.materialized[key] = default
-        return None
+    def _typed(self, key: str, default, kind: str, parse):
+        """parse() of the value of key, or default, recorded, when the key is absent."""
+        if key not in self.entries:
+            if default is _MISSING:
+                raise ConfigError(f"{self.path}: missing required key {key}")
+            self.materialized[key] = default
+            return default
+        self.accessed.add(key)
+        raw, lineno = self.entries[key]
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{self.path}:{lineno}: key {key}: could not parse {raw!r} as {kind}"
+            ) from exc
 
     def get_str(self, key: str, default=_MISSING) -> str:
-        raw = self._raw(key, default)
-        return default if raw is None else raw
+        return self._typed(key, default, "text", str)
 
     def get_float(self, key: str, default=_MISSING) -> float:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line(key)}: key {key}: "
-                f"could not parse {raw!r} as a number"
-            ) from exc
+        return self._typed(key, default, "a number", float)
 
     def get_int(self, key: str, default=_MISSING) -> int:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line(key)}: key {key}: "
-                f"could not parse {raw!r} as an integer"
-            ) from exc
+        return self._typed(key, default, "an integer", int)
 
     def get_bool(self, key: str, default=_MISSING) -> bool:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(
-            f"{self.path}:{self.line(key)}: key {key}: "
-            f"could not parse {raw!r} as a boolean"
-        )
+        return self._typed(key, default, "a boolean", _parse_bool)
 
     def get_int_list(self, key: str, default=_MISSING) -> tuple:
-        raw = self._raw(key, default)
-        if raw is None:
-            return default
-        try:
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{self.line(key)}: key {key}: "
-                f"could not parse {raw!r} as a comma-separated integer list"
-            ) from exc
-
-    def unused(self) -> list:
-        out = []
-        for key, (_val, lineno) in self.entries.items():
-            if key not in self.accessed:
-                out.append((key, lineno))
-        return out
+        return self._typed(key, default, "a comma-separated integer list", _parse_int_list)
 
     def raise_on_unused(self) -> None:
-        leftovers = self.unused()
-        if leftovers:
-            key, lineno = leftovers[0]
+        for key, (_val, lineno) in self.entries.items():
+            if key in self.accessed:
+                continue
             if key in REMOVED_KEYS:
                 raise ConfigError(
                     f"{self.path}:{lineno}: key {key} was removed with the "
                     "time-stepping spectrum engine; delete it"
                 )
-            raise ConfigError(
-                f"{self.path}:{lineno}: unknown key {key} for this command"
-            )
+            raise ConfigError(f"{self.path}:{lineno}: unknown key {key} for this command")
 
     def effective(self) -> dict:
         """Consumed values plus materialized defaults, for run metadata."""

@@ -1,14 +1,15 @@
 """CSV and key-value writers for scan products.
 
 All writers are atomic (temp file in the target directory, then
-os.replace) and format floats with repr, so identical results produce
-byte-identical files regardless of how they were computed.
+os.replace) and write every value by one rule, ``_fmt``, so identical
+results produce byte-identical files regardless of how they were
+computed.  ``cli`` writes run metadata with ``_keyvalue_text``.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -25,22 +26,32 @@ __all__ = [
     "write_lines",
 ]
 
+_SPECTRUM_HEADER = "freq_ghz,intensity"
+
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+    """A numpy scalar as its Python scalar, so a float is its shortest round-trip repr."""
+    return str(value.item() if isinstance(value, np.generic) else value)
+
+
+def _keyvalue_text(entries: dict) -> str:
+    return "".join(f"{key}={_fmt(val)}\n" for key, val in entries.items())
+
+
+def _write_table(path, header: str, *columns) -> None:
+    """The header line, then row i of the columns; arrays reach _fmt through tolist()."""
+    cells = [map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
+    atomic_write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and an atomic rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-")
+    """Write text to path via a temp file and an atomic rename.
+
+    The temp file is created with mode 0o666 under the process umask,
+    so the product gets the mode that ``open(path, "w")`` gives it.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".partial-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -55,8 +66,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_keyvalue(path, entries: dict) -> None:
     """key=value lines, one per entry, insertion order preserved."""
-    lines = [f"{key}={_fmt(val)}" for key, val in entries.items()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, _keyvalue_text(entries))
 
 
 def write_spectrum(path, spectrum) -> None:
@@ -65,10 +75,7 @@ def write_spectrum(path, spectrum) -> None:
     The sidecar records the elastic weight and the discrete elastic
     lines, which cannot live on the frequency grid.
     """
-    rows = ["freq_ghz,intensity"]
-    for f, s in zip(spectrum.freq, spectrum.intensity):
-        rows.append(f"{_fmt(f)},{_fmt(s)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    _write_table(path, _SPECTRUM_HEADER, spectrum.freq, spectrum.intensity)
     sidecar = {
         "elastic_weight": spectrum.elastic_weight,
         "n_elastic_lines": len(spectrum.elastic_lines),
@@ -84,8 +91,8 @@ def read_spectrum(path):
     with open(path) as handle:
         lines = [ln.strip() for ln in handle]
     lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split(",")[:2] != ["freq_ghz", "intensity"]:
-        raise ValidationError(f"{path}: expected a freq_ghz,intensity header")
+    if not lines or lines[0].split(",")[:2] != _SPECTRUM_HEADER.split(","):
+        raise ValidationError(f"{path}: expected a {_SPECTRUM_HEADER} header")
     freq, intensity = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
@@ -103,34 +110,22 @@ def read_spectrum(path):
 
 def write_map(path, result) -> None:
     """Long-format map CSV: delta2_ghz,freq_ghz,intensity."""
-    rows = ["delta2_ghz,freq_ghz,intensity"]
-    for i, d2 in enumerate(result.delta2):
-        d2_s = _fmt(d2)
-        for f, s in zip(result.freq, result.intensity[i]):
-            rows.append(f"{d2_s},{_fmt(f)},{_fmt(s)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    n_rows, n_freq = np.shape(result.intensity)
+    delta2, freq = np.repeat(result.delta2, n_freq), np.tile(result.freq, n_rows)
+    _write_table(path, "delta2_ghz,freq_ghz,intensity", delta2, freq, np.ravel(result.intensity))
 
 
 def write_curve(path, x, intensity, x_name: str = "x_ghz") -> None:
-    rows = [f"{x_name},intensity"]
-    for xv, yv in zip(x, intensity):
-        rows.append(f"{_fmt(xv)},{_fmt(yv)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    _write_table(path, f"{x_name},intensity", x, intensity)
 
 
 def write_dip_report(path, dips) -> None:
-    rows = ["n,dip_position_ghz,unshifted_2omega_over_n_ghz,formula_shift_ghz"]
-    for dip in dips:
-        rows.append(
-            f"{dip.order},{_fmt(dip.dip_position_ghz)},"
-            f"{_fmt(dip.unshifted_ghz)},{_fmt(dip.formula_shift_ghz)}"
-        )
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    header = "n,dip_position_ghz,unshifted_2omega_over_n_ghz,formula_shift_ghz"
+    rows = [(d.order, d.dip_position_ghz, d.unshifted_ghz, d.formula_shift_ghz) for d in dips]
+    _write_table(path, header, *zip(*rows))
 
 
 def write_lines(path, record) -> None:
     """Line list CSV: label,center_ghz,weight."""
-    rows = ["label,center_ghz,weight"]
-    for line in record.lines:
-        rows.append(f"{line.label},{_fmt(line.center_ghz)},{_fmt(line.weight)}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    rows = [(line.label, line.center_ghz, line.weight) for line in record.lines]
+    _write_table(path, "label,center_ghz,weight", *zip(*rows))

@@ -73,14 +73,6 @@ from .errors import (
 )
 
 __all__ = [
-    "IDENTITY",
-    "SIGMA_M",
-    "SIGMA_P",
-    "SIGMA_Z",
-    "spre",
-    "spost",
-    "dissipator",
-    "drive_hamiltonians",
     "PeriodicLiouvillian",
     "PeriodicState",
     "build_periodic_liouvillian",

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 
@@ -79,13 +80,17 @@ orders = 1, 2, 3
             parse_config_text("= 3\n")
 
     def test_typed_getter_errors(self):
-        cfg = parse_config_text("[a]\nx = hello\ny = maybe\n")
-        with pytest.raises(ConfigError, match="as a number"):
-            cfg.get_float("a.x")
-        with pytest.raises(ConfigError, match="as a boolean"):
-            cfg.get_bool("a.y")
-        with pytest.raises(ConfigError, match="integer"):
-            cfg.get_int("a.x")
+        cfg = parse_config_text("[a]\nx = hello\ny = maybe\nz = 1, two\n")
+        for getter, key, line, raw, kind in (
+            (cfg.get_float, "a.x", 2, "hello", "a number"),
+            (cfg.get_int, "a.x", 2, "hello", "an integer"),
+            (cfg.get_bool, "a.y", 3, "maybe", "a boolean"),
+            (cfg.get_int_list, "a.z", 4, "1, two", "a comma-separated integer list"),
+        ):
+            with pytest.raises(ConfigError) as info:
+                getter(key)
+            message = f"<config>:{line}: key {key}: could not parse {raw!r} as {kind}"
+            assert str(info.value) == message
 
     def test_unused_keys_are_flagged(self):
         cfg = parse_config_text("[emitter]\nt1_ps = 390\nt3_ps = 1\n")
@@ -217,6 +222,44 @@ class TestCsvIO:
         rows = lpath.read_text().splitlines()
         assert rows[0] == "label,center_ghz,weight"
         assert len(rows) == 10
+
+    def test_values_are_written_as_their_python_scalar(self, tmp_path):
+        entries = {
+            "nan": float("nan"),
+            "inf": np.inf,
+            "ninf": -np.inf,
+            "nzero": -0.0,
+            "tiny": 5e-324,
+            "f64": np.float64(0.1),
+            "i64": np.int64(-7),
+            "npbool": np.bool_(True),
+            "bool": False,
+        }
+        csvio.write_keyvalue(tmp_path / "kv.txt", entries)
+        assert (tmp_path / "kv.txt").read_text() == (
+            "nan=nan\ninf=inf\nninf=-inf\nnzero=-0.0\ntiny=5e-324\n"
+            "f64=0.1\ni64=-7\nnpbool=True\nbool=False\n"
+        )
+        x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1])
+        csvio.write_curve(tmp_path / "a.csv", x, np.arange(6, dtype=np.int64))
+        assert (tmp_path / "a.csv").read_text() == (
+            "x_ghz,intensity\nnan,0\ninf,1\n-inf,2\n-0.0,3\n5e-324,4\n0.1,5\n"
+        )
+        csvio.write_curve(tmp_path / "b.csv", np.array([True, False]), [np.float64(1.5), 2])
+        assert (tmp_path / "b.csv").read_text() == "x_ghz,intensity\nTrue,1.5\nFalse,2\n"
+
+    def test_products_get_the_mode_open_gives(self, tmp_path):
+        def mode(name):
+            return stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        csvio.atomic_write_text(tmp_path / "atomic.txt", "x\n")
+        assert mode("atomic.txt") == mode("plain.txt")
+        with pytest.raises(TypeError):
+            csvio.atomic_write_text(tmp_path / "atomic.txt", None)
+        assert sorted(os.listdir(tmp_path)) == ["atomic.txt", "plain.txt"]  # no temp file left
+        assert (tmp_path / "atomic.txt").read_text() == "x\n"
 
 
 MOLLOW_CFG = """\
@@ -732,3 +775,49 @@ grid_step_ghz = 0.02
             [command, "--config", "run.ini", "--workers", "2", "--strict"]
         )
         assert args.workers == 2 and args.strict is True
+
+    # keys each subcommand writes into metadata.txt whose values are numbers
+    METADATA_NUMBERS = {
+        "mollow": ("n_warnings",),
+        "spectrum": ("steady_state_cutoff", "n_warnings"),
+        "map": ("workers", "n_failures", "fit_delta1_ghz", "n_warnings"),
+        "subharmonics": ("workers", "n_dips", "n_failures", "n_warnings"),
+        "degenerate": ("plateau_low_ghz", "plateau_high_ghz", "n_warnings"),
+        "fit": (
+            "rabi2_ghz",
+            "t2_ps",
+            "amplitude",
+            "offset",
+            "rabi2_std_ghz",
+            "t2_std_ps",
+            "residual_norm",
+            "n_iter",
+            "n_warnings",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(METADATA_NUMBERS))
+    def test_metadata_values_are_plain(self, tmp_path, emitter, strong, command):
+        text = {
+            "mollow": MOLLOW_CFG,
+            "spectrum": SPECTRUM_CFG,
+            "map": MAP_CFG,
+            "subharmonics": SUBHARMONICS_CFG,
+            "degenerate": DEGENERATE_CFG,
+            "fit": "[emitter]\nt1_ps = 390\n\n[fit]\nrabi2_guess_ghz = 5.0\nt2_guess_ps = 380\n",
+        }[command]
+        out = tmp_path / "out"
+        args = [command, "--config", write_cfg(tmp_path, text), "--out", str(out)]
+        if command == "fit":
+            data = tmp_path / "measured.csv"
+            csvio.write_spectrum(data, mollow_spectrum(emitter, strong, np.linspace(-9, 9, 181)))
+            args += ["--data", str(data)]
+        assert cli.main(args) == 0
+        head = (out / "metadata.txt").read_text().split("---config---\n")[0]
+        meta = dict(line.partition("=")[::2] for line in head.splitlines())
+        assert [line for line in head.splitlines() if "np." in line] == []
+        for key in self.METADATA_NUMBERS[command]:
+            float(meta[key])
+        if command == "fit":
+            result = read_keyvalue(out / "fit_result.txt")
+            assert {key: meta[key] for key in result} == result
