@@ -5,7 +5,8 @@ Six subcommands map onto the library layers:
 * ``mollow``        monochromatic spectrum from the Bloch equations
 * ``spectrum``      bichromatic spectrum plus the secular line list
 * ``map``           spectra stacked over the dressed detuning Delta2
-* ``subharmonics``  etalon-filtered dip scan over the weak detuning
+* ``subharmonics``  etalon-filtered dip scan over the weak detuning; the
+  filtered intensity is exact over all etalon orders, with no grid
 * ``degenerate``    equal-frequency drives (phase average / tiny beat)
 * ``fit``           Mollow fit (Rabi splitting, T2) of a measured CSV
 
@@ -14,7 +15,7 @@ into --out, and records a metadata.txt with the package version,
 timestamps, effective settings (including defaults), any warnings, and
 a verbatim echo of the config.  --strict exists only on the subcommands
 with a harmonic cutoff (spectrum, map, subharmonics, degenerate) and
---workers only on the row scans (map, subharmonics); metadata.txt
+--workers only on map, whose rows run in a process pool; metadata.txt
 records the flags its subcommand has.  Exit codes: 0 success, 1
 validation or configuration problem, 2 numerical failure, 3 I/O failure.
 """
@@ -44,6 +45,7 @@ from .emitter import EmitterParams, DriveField
 from .errors import BifluorError, ConfigError
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 from .scans import (
+    ETALON_ORDERS,
     EtalonFilter,
     central_intensity_curve,
     degenerate_spectrum,
@@ -187,7 +189,6 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         etalon,
         alpha_squared=alpha_sq,
         orders=orders,
-        workers=args.workers,
         strict=args.strict,
     )
     csvio.write_curve(
@@ -208,7 +209,14 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         f"{len(scan.failures)} failed rows"
     )
     failures = [f"delta3={d3}: {msg}" for d3, msg in scan.failures]
-    return {"n_dips": len(scan.dips), **_numbered("failure", failures)}
+    tails = scan.tail_fraction[np.isfinite(scan.tail_fraction)]
+    return {
+        "n_dips": len(scan.dips),
+        **_numbered("failure", failures),
+        "diag.max_resolvent_cutoff": int(scan.cutoffs.max()),
+        "diag.etalon_orders_per_row": 2 * ETALON_ORDERS + 1,
+        "diag.max_tail_fraction": float(tails.max()) if tails.size else float("nan"),
+    }
 
 
 def _cmd_degenerate(args, cfg: ConfigFile):
@@ -287,12 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # (name, help, has a harmonic cutoff, computes scan rows)
-    for name, help_text, cutoff, rows in (
+    # (name, help, has a harmonic cutoff, runs rows in a process pool)
+    for name, help_text, cutoff, pool in (
         ("mollow", "monochromatic emission spectrum", False, False),
         ("spectrum", "bichromatic emission spectrum and line list", True, False),
         ("map", "spectra versus the dressed detuning Delta2", True, True),
-        ("subharmonics", "etalon-filtered subharmonic dip scan", True, True),
+        ("subharmonics", "etalon-filtered subharmonic dip scan", True, False),
         ("degenerate", "equal-frequency two-field spectrum", True, False),
         ("fit", "fit Rabi splitting and T2 to a measured spectrum", False, False),
     ):
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="treat a harmonic cutoff that reaches its ceiling without "
                 "converging as an error, not a warning",
             )
-        if rows:
+        if pool:
             p.add_argument(
                 "--workers",
                 type=int,

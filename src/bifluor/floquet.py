@@ -58,7 +58,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401 - bench/layers.py wraps this name
 from scipy.linalg import solve_banded
 
 from .bloch import Spectrum
@@ -96,20 +95,47 @@ SUBSAMPLE = 64  # grid points on which the resolvent cutoff is chosen
 _STEADY_CEILING = 4096  # largest harmonic cutoff of the periodic steady state
 
 
+def __getattr__(name: str):
+    """``solve_ivp``, imported on request only.
+
+    bench/layers.py wraps that name here, and nothing in the package calls
+    it, so scipy.integrate stays out of the package import.  The name is
+    not stored in the module, whose bindings the wrapping must leave as
+    they were.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices: the same products, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def spre(a: np.ndarray) -> np.ndarray:
     """Superoperator for left multiplication, rho -> a rho."""
-    return np.kron(IDENTITY, a)
+    return _kron(IDENTITY, a)
 
 
 def spost(b: np.ndarray) -> np.ndarray:
     """Superoperator for right multiplication, rho -> rho b."""
-    return np.kron(b.T, IDENTITY)
+    return _kron(b.T, IDENTITY)
 
 
 def dissipator(l_op: np.ndarray) -> np.ndarray:
     """Lindblad dissipator L . L+ - (L+L . + . L+L)/2 as a superoperator."""
     ldl = l_op.conj().T @ l_op
     return spre(l_op) @ spost(l_op.conj().T) - 0.5 * (spre(ldl) + spost(ldl))
+
+
+# every Liouvillian adds these two, so they are built once and shared read-only
+_DECAY = dissipator(SIGMA_M)
+_DEPHASING = dissipator(SIGMA_Z)
+_DECAY.setflags(write=False)
+_DEPHASING.setflags(write=False)
 
 
 def drive_hamiltonians(drive: BichromaticDrive) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +217,8 @@ def build_periodic_liouvillian(
     h0, hp = drive_hamiltonians(drive)
     l0 = (
         -1j * (spre(h0) - spost(h0))
-        + emitter.gamma_sp * dissipator(SIGMA_M)
-        + 0.5 * emitter.gamma_pd * dissipator(SIGMA_Z)
+        + emitter.gamma_sp * _DECAY
+        + 0.5 * emitter.gamma_pd * _DEPHASING
     )
     lp = -1j * (spre(hp) - spost(hp))
     lm = -1j * (spre(hp.conj().T) - spost(hp.conj().T))
@@ -352,15 +378,21 @@ def _incoherent_seed(state: PeriodicState, cutoff: int) -> np.ndarray:
 _HALVES = np.array([[_S, _F, _H], [_F, _S, _H]])
 
 
-def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, cutoff: int):
-    """Batched Sambe-space resolvent: x_0 at every nu and the edge residuals.
+def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int, delta=None):
+    """Batched Sambe-space resolvent: x_0 at every nu and the edge norms.
+
+    ``nu`` may be complex with Im nu < 0, i.e. Re z > 0 for z = i nu,
+    where the resolvent is analytic.  ``delta`` is the beat in rad/ns,
+    pl.delta by default, and ``seed`` has shape (2 * cutoff + 1, 3); either
+    may instead hold one value per element of ``nu`` (a trailing axis),
+    for drives that share l0, lp and lm and differ in the beat only.
 
     The regression vectors are traceless, so they are solved in the
     coordinates (x_eg, x_ge, x_ee) of the traceless subspace, where the
     trace mode of the generator is absent: every 3x3 block is regular,
     also where nu = -k delta.  Returns x_0 in those coordinates, shape
-    (3, n), and at every nu the larger norm of the two edge harmonics
-    over the largest norm of x_0 on ``nu``, shape (n,).
+    (3, n), and at every nu the larger norm of the two edge harmonics,
+    shape (n,), for the caller to compare with the norms of x_0.
 
     Both halves are eliminated toward k = 0 in one loop, on arrays whose
     first axis is the half.  In the down half's coordinates the two
@@ -385,10 +417,9 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, 
     c1221, ni12 = c12 * c21, -i12
     d0, d1, d2 = (1j * np.asarray(nu) + neg[:, i, i, None] for i in range(3))
     ks = np.arange(cutoff + 1)
-    seeds = np.stack(
-        [seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2
-    )[..., None]
-    shift = 1j * pl.delta * np.array([[1.0], [-1.0]])
+    seed = seed if seed.ndim == 3 else seed[..., None]
+    seeds = np.stack([seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2)
+    shift = 1j * (pl.delta if delta is None else delta) * np.array([[1.0], [-1.0]])
     s00 = s02 = s20 = s22 = z0 = z1 = z2 = 0.0
     for j in range(cutoff, 0, -1):
         # x_j = inv (inward x_{j-1} + r), r = seed_j + outward z_{j+1}, z_j = inv r
@@ -437,7 +468,26 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu: np.ndarray, 
         eta = gain * (bq * hub + i20 * spokes) + acc
         pair = (lead[0] * eta + tail[0], lead[1] * eta + tail[1])
     edge = np.linalg.norm([x * pair[0] + z * pair[1] + c for x, z, c in zip(fx, fz, e)], axis=0)
-    return x0, edge.max(axis=0) / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
+    return x0, edge.max(axis=0)
+
+
+def _start_cutoff(pl: PeriodicLiouvillian, state: PeriodicState) -> int:
+    """First resolvent cutoff: the steady state's, or 0 without a weak field."""
+    return min(state.cutoff, CUTOFF_CEILING) if np.any(pl.lp != 0.0) else 0
+
+
+def _edge_residual(x0: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Edge norms over the largest norm of x_0, the quantity EDGE_TOL bounds."""
+    return edge / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
+
+
+def _truncation(cutoff: int, resid: float) -> TruncationError:
+    """The error of a resolvent that reached CUTOFF_CEILING unconverged."""
+    return TruncationError(
+        f"resolvent not converged at harmonic cutoff {cutoff}: "
+        f"edge harmonic {resid:.3e} of the central one",
+        residual=resid,
+    )
 
 
 def emission_spectrum(
@@ -478,27 +528,24 @@ def emission_spectrum(
         )
 
     nu = TWO_PI * (grid - d1)
-    cutoff = min(state.cutoff, CUTOFF_CEILING) if np.any(pl.lp != 0.0) else 0
+    cutoff = _start_cutoff(pl, state)
     sub = np.unique(np.linspace(0, nu.size - 1, SUBSAMPLE).round().astype(int))
     while True:
         seed = _incoherent_seed(state, cutoff)
         # the cutoff doubles on the subsample; the full grid is the gate
         on_sub = sub.size < nu.size and cutoff < CUTOFF_CEILING
-        if on_sub and np.max(_sambe_resolvent(pl, seed, nu[sub], cutoff)[1]) > EDGE_TOL:
+        if on_sub and _edge_residual(*_sambe_resolvent(pl, seed, nu[sub], cutoff)).max() > EDGE_TOL:
             cutoff = min(2 * cutoff, CUTOFF_CEILING)
             continue
         x0, edge = _sambe_resolvent(pl, seed, nu, cutoff)
+        edge = _edge_residual(x0, edge)
         resid = float(np.max(edge))
         if resid <= EDGE_TOL:
             break
         if cutoff >= CUTOFF_CEILING:
-            msg = (
-                f"resolvent not converged at harmonic cutoff {cutoff}: "
-                f"edge harmonic {resid:.3e} of the central one"
-            )
             if strict:
-                raise TruncationError(msg, residual=resid)
-            warnings.warn(msg, TruncationWarning, stacklevel=2)
+                raise _truncation(cutoff, resid)
+            warnings.warn(str(_truncation(cutoff, resid)), TruncationWarning, stacklevel=2)
             break
         cutoff = min(2 * cutoff, CUTOFF_CEILING)
         sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])

@@ -6,9 +6,10 @@ subharmonic dip scan behind an etalon, and the equal-frequency
 (degenerate) drive limit where the beat note disappears and only the
 relative phase survives.
 
-Scans parallelize over axis points with processes; rows are assembled,
-and their warnings issued, by index, so results are identical for any
-worker count.
+The detuning map parallelizes over axis points with processes; the
+subharmonic scan needs no frequency grid and solves all its rows in
+batched resolvent sweeps.  Rows are assembled, and their warnings
+issued, by index, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,10 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bloch
+from . import bloch, floquet
 from .dressed import _central_weight, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
-from .errors import BifluorError, CoverageError, ValidationError
+from .errors import (
+    BifluorError,
+    CoverageError,
+    SingularSystemError,
+    TruncationWarning,
+    ValidationError,
+)
 from .fitting import gauss_newton
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 
@@ -43,11 +50,19 @@ __all__ = [
 
 _WINDOW_GHZ = 0.5  # half width of the central-line window of central_intensity_curve
 _N_PHASES = 256  # relative phases in the phase-averaged degenerate spectrum
+ETALON_ORDERS = 20  # etalon orders solved on each side of the centre one
 
 
 @dataclass(frozen=True)
 class EtalonFilter:
-    """Airy transmission of a planar etalon, all quantities in GHz."""
+    """Airy transmission of a planar etalon, all quantities in GHz.
+
+    The transmission, 1 at its peaks, is exactly a sum of Lorentzians,
+    T(f) = tanh(beta) FSR sum_p L_p(f) with sinh(beta) = pi / (2 finesse):
+    each L_p is normalized, centred on center + p FSR, and has the half
+    width gamma = beta FSR / pi (Ismail et al., Opt. Express 24, 16366
+    (2016)).
+    """
 
     center_ghz: float
     fsr_ghz: float
@@ -63,12 +78,15 @@ class EtalonFilter:
     def finesse(self) -> float:
         return self.fsr_ghz / self.fwhm_ghz
 
-    def transmission(self, freq):
-        """Airy function, 1 at the transmission peaks."""
-        freq = np.asarray(freq, dtype=float)
-        coef = (2.0 * self.finesse / np.pi) ** 2
-        s = np.sin(np.pi * (freq - self.center_ghz) / self.fsr_ghz)
-        return 1.0 / (1.0 + coef * s * s)
+
+def _airy_lorentzians(etalon: EtalonFilter) -> tuple[float, float]:
+    """Weight tanh(beta) FSR and half width gamma of the etalon's Lorentzians."""
+    beta = np.arcsinh(np.pi / (2.0 * etalon.finesse))
+    return float(np.tanh(beta) * etalon.fsr_ghz), float(beta * etalon.fsr_ghz / np.pi)
+
+
+def _row_error(exc: BifluorError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _row_task(args):
@@ -86,7 +104,7 @@ def _row_task(args):
             spec = emission_spectrum(pl, state, grid, strict=strict)
             row = idx, spec.intensity, float(spec.elastic_weight), None
         except BifluorError as exc:  # a numerical or input failure of this row only
-            row = idx, None, float("nan"), f"{type(exc).__name__}: {exc}"
+            row = idx, None, float("nan"), _row_error(exc)
     return *row, [(w.category, str(w.message)) for w in caught]
 
 
@@ -272,10 +290,12 @@ class SubharmonicScan:
     alpha_squared: float
     orders: tuple[int, ...]
     failures: tuple[tuple[float, str], ...]  # (delta3, message) of the NaN rows
+    cutoffs: np.ndarray  # accepted resolvent cutoff of each row, 0 for a failed row
+    tail_fraction: np.ndarray  # closed-form tail over the row's value, NaN for a failed row
 
     def __post_init__(self):
-        self.delta3.setflags(write=False)
-        self.intensity.setflags(write=False)
+        for arr in (self.delta3, self.intensity, self.cutoffs, self.tail_fraction):
+            arr.setflags(write=False)
 
 
 def _orders(orders) -> tuple[int, ...]:
@@ -312,6 +332,140 @@ def subharmonic_axis(
     return np.array(sorted(points))
 
 
+def _batched_resolvent(rows, idx, nu, cutoff):
+    """x_0 and edge norms of the rows ``idx`` at ``nu``, in one sweep.
+
+    ``rows`` maps a row to its (PeriodicLiouvillian, PeriodicState); the
+    rows share l0, lp and lm, so they are laid out row by row on one axis
+    with a beat and a seed per element.  Returns (row, (x0, edge)) pairs,
+    or (row, error) for a row whose blocks are singular: a batch that
+    hits one is solved again row by row, so only that row fails.
+    """
+    pls, states = zip(*(rows[i] for i in idx))
+    seed = np.stack([floquet._incoherent_seed(st, cutoff) for st in states], axis=2)
+    try:
+        x0, edge = floquet._sambe_resolvent(
+            pls[0],
+            np.repeat(seed, nu.size, axis=2),
+            np.tile(nu, len(idx)),
+            cutoff,
+            np.repeat([pl.delta for pl in pls], nu.size),
+        )
+    except SingularSystemError as exc:
+        if len(idx) == 1:
+            return [(idx[0], exc)]
+        return [pair for i in idx for pair in _batched_resolvent(rows, [i], nu, cutoff)]
+    x0, edge = x0.reshape(3, len(idx), nu.size), edge.reshape(len(idx), nu.size)
+    return [(i, (x0[:, r], edge[r])) for r, i in enumerate(idx)]
+
+
+def _laurent_coefficients(rows, good, terms: int) -> np.ndarray:
+    """c_j, j < terms, of x_0[ge] = sum_j c_j / z^(j+1) for large z; shape (rows, terms).
+
+    x = (seed + A x) / z with A x_k = (l0 - i k delta) x_k + lp x_{k-1}
+    + lm x_{k+1}, so c_j = (A^j seed)_0[ge], which needs the seed
+    harmonics |k| < terms only.
+    """
+    l0, lp, lm = floquet._traceless(rows[good[0]][0])
+    y = np.stack([floquet._incoherent_seed(rows[i][1], terms - 1) for i in good])
+    beat = np.array([rows[i][0].delta for i in good])[:, None, None]
+    k = np.arange(1 - terms, terms)[:, None]
+    coef = []
+    for _ in range(terms):
+        coef.append(y[:, terms - 1, 1])
+        ay = y @ l0.T - 1j * k * beat * y
+        ay[:, 1:] += y[:, :-1] @ lp.T  # x_{k-1} into row k
+        ay[:, :-1] += y[:, 1:] @ lm.T  # x_{k+1} into row k
+        y = ay
+    return np.stack(coef, axis=1)
+
+
+def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
+    """Etalon-filtered incoherent intensity at each weak detuning.
+
+    With z = i nu the spectrum is S(f) = 2 Re x_0[ge](z) at
+    nu = 2 pi (f - Delta1), and x_0 is analytic for Re z > 0, so by the
+    Poisson integral each Lorentzian of the etalon picks out one complex
+    frequency: int S L_p df = 2 Re x_0[ge] at nu_p = 2 pi (f_p - Delta1)
+    - i 2 pi gamma.  The orders |p| <= ETALON_ORDERS are solved.  With
+    z_p = i 2 pi FSR (p + w), the first four terms of x_0[ge]'s expansion
+    in 1/z are summed over the other orders in closed form: over every
+    order, (p + w)^-n sums to pi cot(pi w) for n = 1 and to its
+    derivatives for n = 2 .. 4.  What is left falls as ETALON_ORDERS^-5.
+
+    Each row starts at its steady-state cutoff; rows pending at one cutoff
+    share one batched sweep, a row is accepted when its edge harmonics are
+    within EDGE_TOL of its own largest x_0, and the others double their
+    cutoff.  A row that reaches CUTOFF_CEILING unconverged keeps that
+    result with a TruncationWarning, issued in row order, or fails under
+    ``strict``.
+
+    Returns the intensity, the accepted cutoffs, the tail fractions and
+    the failures as (delta3, message).
+    """
+    n_rows = delta3_values.size
+    weight, gamma = _airy_lorentzians(etalon)
+    w = (etalon.center_ghz - strong.detuning - 1j * gamma) / etalon.fsr_ghz
+    scale = 1j * TWO_PI * etalon.fsr_ghz
+    z = scale * (np.arange(-ETALON_ORDERS, ETALON_ORDERS + 1) + w)
+    nu = -1j * z
+    # (p + w)^-n summed over every order, over pi^n, for n = 1 .. 4
+    cot = 1.0 / np.tan(np.pi * w)
+    csc2 = 1.0 + cot * cot
+    every = np.array([cot, csc2, cot * csc2, csc2 * (1.0 + 3.0 * cot * cot) / 3.0])
+    n = np.arange(1, every.size + 1)
+    # z_p^-n summed over the orders that are not solved
+    rest = every * (np.pi / scale) ** n - np.sum(z ** -n[:, None], axis=1)
+
+    rows, errors, notes = {}, {}, {}
+    for i, d3 in enumerate(delta3_values):
+        drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d3, rabi=weak_rabi))
+        try:
+            pl = build_periodic_liouvillian(emitter, drive)
+            rows[i] = pl, periodic_steady_state(pl)
+        except BifluorError as exc:  # a numerical or input failure of this row only
+            errors[i] = exc
+
+    ceiling = floquet.CUTOFF_CEILING
+    pending = {i: floquet._start_cutoff(pl, st) for i, (pl, st) in rows.items()}
+    x0_ge = np.zeros((n_rows, nu.size), dtype=complex)
+    cutoffs = np.zeros(n_rows, dtype=int)
+    while pending:
+        groups = {}
+        for i, cutoff in pending.items():
+            groups.setdefault(cutoff, []).append(i)
+        pending = {}
+        for cutoff, idx in sorted(groups.items()):
+            for i, result in _batched_resolvent(rows, idx, nu, cutoff):
+                if isinstance(result, BifluorError):
+                    errors[i] = result
+                    continue
+                x0, edge = result
+                resid = float(floquet._edge_residual(x0, edge).max())
+                if resid > floquet.EDGE_TOL and cutoff < ceiling:
+                    pending[i] = min(2 * cutoff, ceiling)
+                    continue
+                if resid > floquet.EDGE_TOL:
+                    if strict:
+                        errors[i] = floquet._truncation(cutoff, resid)
+                        continue
+                    notes[i] = str(floquet._truncation(cutoff, resid))
+                x0_ge[i], cutoffs[i] = x0[1], cutoff
+
+    good = [i for i in rows if i not in errors]
+    intensity = np.full(n_rows, np.nan)
+    tail_fraction = np.full(n_rows, np.nan)
+    if good:
+        tail = 2.0 * (_laurent_coefficients(rows, good, rest.size) @ rest).real
+        total = 2.0 * x0_ge[good].real.sum(axis=1) + tail
+        intensity[good] = weight * total
+        tail_fraction[good] = np.abs(tail / total)
+    for _i, message in sorted(notes.items()):
+        warnings.warn(message, TruncationWarning, stacklevel=3)
+    failures = tuple((float(delta3_values[i]), _row_error(errors[i])) for i in sorted(errors))
+    return intensity, cutoffs, tail_fraction, failures
+
+
 def subharmonic_scan(
     emitter: EmitterParams,
     strong: DriveField,
@@ -319,47 +473,33 @@ def subharmonic_scan(
     etalon: EtalonFilter,
     alpha_squared: float = 0.359,
     orders=(1, 2, 3, 4, 5),
-    workers: int = 1,
     strict: bool = False,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
     The weak field (amplitude ratio alpha relative to the strong one,
     so G = alpha Omega / 2) is stepped to each Delta3; the incoherent
-    spectrum is transmitted through the etalon and integrated.  Dips
-    appear where 2 Omega / n photon processes go resonant, displaced
-    from the bare subharmonics by the ac Stark shift.  Each requested
-    order's dip is the lowest finite point of its window (half a gap
-    below 2 Omega / n to 0.7 of a gap above), refined by the parabola
-    through it and its neighbours; an order whose lowest point is the
-    first or last of its window has no dip.  The frequency grid spans
-    the generalized splitting sqrt((2 Omega)^2 + Delta1^2) plus the
-    largest |Delta3|, so every row passes emission_spectrum's coverage
-    check.  ``strict`` is passed on to emission_spectrum.
+    spectrum is transmitted through the etalon and integrated, exactly
+    over every etalon order and with no frequency grid: the Airy
+    function is a sum of Lorentzians, and each picks the Sambe resolvent
+    at one complex frequency (see _filtered_rows).  Dips appear where
+    2 Omega / n photon processes go resonant, displaced from the bare
+    subharmonics by the ac Stark shift.  Each requested order's dip is
+    the lowest finite point of its window (half a gap below 2 Omega / n
+    to 0.7 of a gap above), refined by the parabola through it and its
+    neighbours; an order whose lowest point is the first or last of its
+    window has no dip.  A row that fails is NaN and listed in
+    ``failures``; ``strict`` turns a cutoff that reaches CUTOFF_CEILING
+    unconverged into such a failure instead of a TruncationWarning.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
         raise ValidationError("delta3_values must hold at least five points")
     orders = _orders(orders)
-    alpha = float(np.sqrt(alpha_squared))
-    g = 0.5 * alpha * strong.rabi
-    lw = 1.0 / (TWO_PI * emitter.t2_ns)
-    splitting = np.hypot(2.0 * strong.rabi, strong.detuning)
-    span = splitting + float(np.max(np.abs(delta3_values))) + 2.0 * g + 3.0 * lw
-    step = max(etalon.fwhm_ghz / 4.0, 1e-3)
-    grid = np.arange(-span - 2.0 * step, span + 2.0 * step + step / 2, step)
-    grid = grid + strong.detuning
-
-    tasks = []
-    for i, d3 in enumerate(delta3_values):
-        weak = DriveField(detuning=d3, rabi=g)
-        drive = BichromaticDrive(strong=strong, weak=weak)
-        tasks.append((i, emitter, drive, grid, strict))
-    rows, failures = _run_rows(tasks, workers, delta3_values)
-    trans = etalon.transmission(grid)
-    intensity = np.full(delta3_values.size, np.nan)
-    for idx, row, _ew in rows:
-        intensity[idx] = np.trapezoid(row * trans, grid)
+    g = 0.5 * float(np.sqrt(alpha_squared)) * strong.rabi
+    intensity, cutoffs, tail_fraction, failures = _filtered_rows(
+        emitter, strong, g, delta3_values, etalon, strict
+    )
 
     dips = []
     for n in orders:
@@ -398,6 +538,8 @@ def subharmonic_scan(
         alpha_squared=float(alpha_squared),
         orders=orders,
         failures=failures,
+        cutoffs=cutoffs,
+        tail_fraction=tail_fraction,
     )
 
 
@@ -456,6 +598,13 @@ def plateau_edges(freq, intensity, rabi: float, alpha: float, detuning: float = 
     the predicted plateau 2 Omega (1 +- sqrt(alpha)); the outermost
     threshold crossings inside a padded search window are returned as
     (low, high).
+
+    The low edge is a crossing only if the spectrum drops below the
+    threshold between the central line and the plateau.  For
+    alpha >= 0.2 it does not, and the low edge is the window's first
+    sample: at alpha = 0.36, -1.15 GHz, where 2 Omega (1 - sqrt(alpha))
+    is 2.32 GHz.  Spectra of two methods then agree on that edge because
+    they share the window, not because they share the plateau.
     """
     freq = np.asarray(freq, dtype=float)
     intensity = np.asarray(intensity, dtype=float)

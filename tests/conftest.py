@@ -50,7 +50,7 @@ def subharmonic_reference():
     etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
     axis = subharmonic_axis(REF_RABI, points_per_order=16)
     t0 = time.perf_counter()
-    scan = subharmonic_scan(em, strong_field, axis, etalon, workers=1)
+    scan = subharmonic_scan(em, strong_field, axis, etalon)
     return scan, time.perf_counter() - t0
 
 

@@ -285,6 +285,14 @@ def pair_ladder_min_separation(rabi, g, delta1, delta2_values, rungs=70):
     return res if res.size > 1 else float(res[0])
 
 
+def airy_transmission(etalon, freq):
+    """Airy function of a planar etalon, 1 at its transmission peaks."""
+    freq = np.asarray(freq, dtype=float)
+    coef = (2.0 * etalon.finesse / np.pi) ** 2
+    s = np.sin(np.pi * (freq - etalon.center_ghz) / etalon.fsr_ghz)
+    return 1.0 / (1.0 + coef * s * s)
+
+
 def window_weight(freqs, intensity, center=0.0, half=0.5):
     mask = np.abs(np.asarray(freqs) - center) <= half + 1e-12
     return float(simpson(np.asarray(intensity)[mask], x=np.asarray(freqs)[mask]))

@@ -434,7 +434,13 @@ fwhm_ghz = 0.14
         assert len(curve) == 6
         report = (out / "dip_report.csv").read_text().splitlines()
         assert len(report) == 1
-        assert "n_dips=0" in (out / "metadata.txt").read_text()
+        meta = read_keyvalue(out / "metadata.txt")
+        assert meta["n_dips"] == "0"
+        # no weak field: every row is solved at cutoff 0, over 41 etalon orders
+        assert meta["diag.max_resolvent_cutoff"] == "0"
+        assert meta["diag.etalon_orders_per_row"] == "41"
+        assert 0.0 < float(meta["diag.max_tail_fraction"]) < 0.01
+        assert "workers" not in meta
 
     def test_degenerate_reports_plateau(self, tmp_path, capsys):
         text = """\
@@ -610,12 +616,15 @@ grid_step_ghz = 0.02
         assert "etalon parameters must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_subharmonics_needs_at_least_one_worker(self, tmp_path, capsys, workers):
+    def test_subharmonics_takes_no_workers(self, tmp_path, capsys, workers):
+        # its rows share batched sweeps in one process, so --workers is unknown
         cfg = write_cfg(tmp_path, SUBHARMONICS_CFG)
         out = tmp_path / "out"
         args = ["subharmonics", "--config", cfg, "--out", str(out), f"--workers={workers}"]
-        assert cli.main(args) == 1
-        assert "workers must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(args)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: --workers={workers}" in capsys.readouterr().err
         assert not (out / "metadata.txt").exists()
 
     def test_infinite_lifetime_exits_one(self, tmp_path, capsys):
@@ -667,7 +676,10 @@ grid_step_ghz = 0.02
     def test_import_leaves_scipy_signal_unloaded(self):
         src = os.path.dirname(os.path.dirname(bifluor.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, bifluor, bifluor.cli; print('scipy.signal' in sys.modules)"
+        code = (
+            "import sys, bifluor, bifluor.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
@@ -676,7 +688,7 @@ grid_step_ghz = 0.02
             check=True,
             timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
     @pytest.mark.parametrize(
         "command, text, key",
@@ -759,10 +771,11 @@ grid_step_ghz = 0.02
             ("spectrum", "--workers=2"),
             ("degenerate", "--workers=2"),
             ("fit", "--workers=2"),
+            ("subharmonics", "--workers=2"),
         ],
     )
     def test_flags_exist_only_where_they_act(self, capsys, command, flag):
-        # --strict needs a harmonic cutoff, --workers a row scan
+        # --strict needs a harmonic cutoff, --workers rows in a process pool
         data = ["--data", "d.csv"] if command == "fit" else []
         with pytest.raises(SystemExit) as info:
             cli.main([command, "--config", "run.ini", *data, flag])
@@ -771,17 +784,25 @@ grid_step_ghz = 0.02
 
     @pytest.mark.parametrize("command", ["map", "subharmonics"])
     def test_row_scans_take_workers_and_strict(self, command):
-        args = cli.build_parser().parse_args(
-            [command, "--config", "run.ini", "--workers", "2", "--strict"]
-        )
-        assert args.workers == 2 and args.strict is True
+        # both take --strict; only map, whose rows run in a pool, takes --workers
+        pool = ["--workers", "2"] if command == "map" else []
+        args = cli.build_parser().parse_args([command, "--config", "run.ini", *pool, "--strict"])
+        assert args.strict is True
+        assert getattr(args, "workers", None) == (2 if command == "map" else None)
 
     # keys each subcommand writes into metadata.txt whose values are numbers
     METADATA_NUMBERS = {
         "mollow": ("n_warnings",),
         "spectrum": ("steady_state_cutoff", "n_warnings"),
         "map": ("workers", "n_failures", "fit_delta1_ghz", "n_warnings"),
-        "subharmonics": ("workers", "n_dips", "n_failures", "n_warnings"),
+        "subharmonics": (
+            "n_dips",
+            "n_failures",
+            "diag.max_resolvent_cutoff",
+            "diag.etalon_orders_per_row",
+            "diag.max_tail_fraction",
+            "n_warnings",
+        ),
         "degenerate": ("plateau_low_ghz", "plateau_high_ghz", "n_warnings"),
         "fit": (
             "rabi2_ghz",

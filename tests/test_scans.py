@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bifluor import scans
+from oracles import airy_transmission
+from bifluor import floquet, scans
 from bifluor.bloch import mollow_spectrum
 from bifluor.dressed import _quartet
-from bifluor.emitter import DriveField, EmitterParams
-from bifluor.errors import CoverageError, ValidationError
+from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
+from bifluor.errors import CoverageError, SingularSystemError, ValidationError
 from bifluor.floquet import (
     build_periodic_liouvillian,
     emission_spectrum,
@@ -31,17 +34,30 @@ from bifluor.scans import (
 class TestEtalon:
     def test_unit_transmission_on_peak(self):
         et = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
-        assert et.transmission(0.0) == 1.0
+        assert airy_transmission(et, 0.0) == 1.0
         assert et.finesse == pytest.approx(9.18 / 0.14, rel=1e-12)
 
     def test_periodic_in_the_free_spectral_range(self):
         et = EtalonFilter(center_ghz=0.3, fsr_ghz=9.18, fwhm_ghz=0.14)
         f = np.linspace(-4.0, 4.0, 41)
-        assert np.abs(et.transmission(f) - et.transmission(f + 9.18)).max() < 1e-12
+        assert np.abs(airy_transmission(et, f) - airy_transmission(et, f + 9.18)).max() < 1e-12
 
     def test_minimum_between_peaks(self):
         et = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
-        assert et.transmission(9.18 / 2.0) == pytest.approx(5.735368e-4, rel=1e-5)
+        assert airy_transmission(et, 9.18 / 2.0) == pytest.approx(5.735368e-4, rel=1e-5)
+
+    @pytest.mark.parametrize("fwhm", [0.14, 1.0, 4.0])
+    def test_airy_function_is_a_sum_of_lorentzians(self, fwhm):
+        et = EtalonFilter(center_ghz=0.3, fsr_ghz=9.18, fwhm_ghz=fwhm)
+        weight, gamma = scans._airy_lorentzians(et)
+        f = np.linspace(-15.0, 15.0, 61)
+        orders = 20000
+        peaks = 0.3 + 9.18 * np.arange(-orders, orders + 1)
+        lorentz = gamma / np.pi / ((f[:, None] - peaks) ** 2 + gamma**2)
+        # the orders left out add at most weight gamma / pi * 2 / ((orders - 2) fsr)^2 each
+        left_out = weight * gamma / np.pi * 2.0 / ((orders - 2) * 9.18 ** 2)
+        error = np.abs(weight * lorentz.sum(axis=1) - airy_transmission(et, f)).max()
+        assert error <= 1e-10 + left_out
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
@@ -185,10 +201,6 @@ class TestSubharmonics:
             subharmonic_scan(
                 emitter, strong, -np.linspace(5.5, 6.1, 7), etalon, orders=(0,)
             )
-        axis = subharmonic_axis(2.9, orders=(1,), points_per_order=5)
-        for workers in (0, -3):
-            with pytest.raises(ValidationError, match="workers must be at least 1"):
-                subharmonic_scan(emitter, strong, axis, etalon, orders=(1,), workers=workers)
 
     def test_dip_bottoms_rise_with_order(self, subharmonic_reference):
         # higher orders suppress the centre line less and less
@@ -200,6 +212,116 @@ class TestSubharmonics:
             mask = (-scan.delta3 >= base - 0.5 * gap) & (-scan.delta3 <= base + 0.7 * gap)
             bottoms.append(scan.intensity[mask].min())
         assert np.all(np.diff(bottoms) > 0)
+
+    def test_rows_record_cutoff_and_tail(self, subharmonic_reference):
+        scan, _elapsed = subharmonic_reference
+        assert scan.failures == ()
+        assert set(scan.cutoffs) <= {16, 32}
+        assert np.all((scan.tail_fraction > 0.0) & (scan.tail_fraction < 0.01))
+
+
+ETALON = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
+REF_EMITTER = EmitterParams(t1=390.0, t2=424.0)
+REF_STRONG = DriveField(detuning=0.0, rabi=2.9)
+
+
+def one_row(d3, g, etalon):
+    """Filtered intensity of one row, with its cutoff, tail and failures."""
+    return scans._filtered_rows(REF_EMITTER, REF_STRONG, g, np.array([d3]), etalon, False)
+
+
+def trapezoid_row(d3, g, etalon, half, step=0.02):
+    """Trapezoid of spectrum times Airy function over +-half GHz."""
+    grid = np.linspace(-half, half, int(round(2.0 * half / step)) + 1)
+    drive = BichromaticDrive(strong=REF_STRONG, weak=DriveField(detuning=d3, rabi=g))
+    pl = build_periodic_liouvillian(REF_EMITTER, drive)
+    spec = emission_spectrum(pl, periodic_steady_state(pl), grid)
+    return np.trapezoid(spec.intensity * airy_transmission(etalon, grid), grid)
+
+
+class TestEtalonOrderSum:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.floats(-6.5, -1.0),  # Delta3
+        st.floats(0.1, 1.0),  # weak half Rabi G
+        st.floats(-4.0, 4.0),  # etalon centre
+        st.floats(0.14, 1.0),  # etalon fwhm
+    )
+    def test_order_sum_equals_a_wide_trapezoid(self, d3, g, center, fwhm):
+        # a trapezoid over +-W misses a tail that falls as 1/W, so
+        # |I(W) - I(W/2)| is its own error, and I(W) lies that far below
+        etalon = EtalonFilter(center_ghz=center, fsr_ghz=9.18, fwhm_ghz=fwhm)
+        exact = one_row(d3, g, etalon)[0][0]
+        wide, half = trapezoid_row(d3, g, etalon, 100.0), trapezoid_row(d3, g, etalon, 50.0)
+        own_error = abs(wide - half)
+        assert wide < exact <= wide + 1.25 * own_error
+        assert abs(exact - (2.0 * wide - half)) <= 0.2 * own_error
+
+    @pytest.mark.parametrize("d3", [-1.25, -2.1, -5.9])
+    def test_doubling_the_orders_changes_a_row_below_1e6(self, monkeypatch, d3):
+        base = one_row(d3, 0.87, ETALON)[0][0]
+        monkeypatch.setattr(scans, "ETALON_ORDERS", 2 * scans.ETALON_ORDERS)
+        doubled = one_row(d3, 0.87, ETALON)[0][0]
+        assert abs(doubled - base) < 1e-6 * base
+
+    def test_batched_rows_equal_per_row_solves(self, emitter, strong):
+        axis = subharmonic_axis(2.9, orders=(5,), points_per_order=6, alpha_squared=0.33)
+        g = 0.5 * np.sqrt(0.33) * 2.9
+        rows = {}
+        for i, d3 in enumerate(axis):
+            drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d3, rabi=g))
+            pl = build_periodic_liouvillian(emitter, drive)
+            rows[i] = pl, periodic_steady_state(pl)
+        nu = 2.0 * np.pi * (9.18 * np.arange(-3, 4) - 0.02j)
+        for i, (x0, edge) in scans._batched_resolvent(rows, list(rows), nu, 16):
+            pl, state = rows[i]
+            one = floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 16), nu, 16)
+            scale = np.abs(one[0]).max()
+            assert np.abs(x0 - one[0]).max() <= 1e-12 * scale
+            assert np.abs(edge - one[1]).max() <= 1e-12 * scale
+        scan = subharmonic_scan(emitter, strong, axis, ETALON, alpha_squared=0.33, orders=(5,))
+        single = [one_row(d3, g, ETALON) for d3 in axis]
+        assert np.abs(scan.intensity / [row[0][0] for row in single] - 1.0).max() <= 1e-12
+        assert list(scan.cutoffs) == [row[1][0] for row in single]
+
+    def test_a_singular_row_fails_alone(self, emitter, strong, monkeypatch):
+        axis = subharmonic_axis(2.9, orders=(5,), points_per_order=6)
+        base = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
+        bad_beat = 2.0 * np.pi * axis[2]
+        solve = floquet._sambe_resolvent
+
+        def singular_on_one_beat(pl, seed, nu, cutoff, delta=None):
+            if np.any(np.asarray(delta) == bad_beat):
+                raise SingularSystemError("resolvent solve hit a singular block")
+            return solve(pl, seed, nu, cutoff, delta)
+
+        monkeypatch.setattr(floquet, "_sambe_resolvent", singular_on_one_beat)
+        scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
+        assert [d3 for d3, _msg in scan.failures] == [axis[2]]
+        assert "SingularSystemError" in scan.failures[0][1]
+        assert np.isnan(scan.intensity[2]) and scan.cutoffs[2] == 0
+        keep = np.arange(axis.size) != 2
+        assert np.array_equal(scan.intensity[keep], base.intensity[keep])
+
+    def test_a_failed_row_records_cutoff_zero(self, emitter, strong):
+        # Delta3 = Delta1 has no beat: that row fails, the others do not
+        axis = np.array([-6.1, -6.0, -5.9, -5.8, -5.7, 0.0])
+        scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(1,))
+        assert [d3 for d3, _msg in scan.failures] == [0.0]
+        assert "DegenerateDriveError" in scan.failures[0][1]
+        assert scan.cutoffs[-1] == 0 and np.all(scan.cutoffs[:-1] > 0)
+        assert np.isnan(scan.tail_fraction[-1]) and np.isfinite(scan.tail_fraction[:-1]).all()
+
+    @pytest.mark.parametrize("alpha_squared", [0.30, 0.35])
+    def test_order5_dip_inside_the_benchmark_gate(self, emitter, strong, alpha_squared):
+        # the high_order workload draws alpha_squared from [0.30, 0.35] and
+        # accepts an order-5 dip displaced by 0 to 0.35 GHz
+        axis = subharmonic_axis(2.9, orders=(5,), points_per_order=6, alpha_squared=alpha_squared)
+        scan = subharmonic_scan(
+            emitter, strong, axis, ETALON, alpha_squared=alpha_squared, orders=(5,)
+        )
+        (dip,) = scan.dips
+        assert 0.0 < dip.dip_position_ghz - 5.8 / 5.0 < 0.35
 
 
 class TestDegenerate:
