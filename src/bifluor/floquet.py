@@ -15,9 +15,10 @@ The periodic steady state is found by harmonic balance,
 
 Only rho_0 carries trace, and trace 1, so the unknowns are the traceless
 parts x_k = rho_k - |g><g| delta_k0 in coordinates (x_eg, x_ge, x_ee):
-|g><g| moves to the right-hand side of rows k = 0, +-1, and one banded
-solve (five sub- and super-diagonals) gives every harmonic.  The cutoff
-doubles until the edge harmonics fall below EDGE_TOL of rho_0.
+|g><g| moves to the right-hand side of rows k = 0, +-1.  Both halves are
+eliminated toward k = 0 as a matrix continued fraction (Risken, The
+Fokker-Planck Equation, ch. 9), and rho_0 then gives every harmonic.
+The cutoff doubles until the edge harmonics fall below EDGE_TOL of rho_0.
 
 The emission spectrum needs the beat-phase average of the two-time
 correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
@@ -58,7 +59,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bloch import Spectrum
 from .emitter import TWO_PI, BichromaticDrive, EmitterParams
@@ -232,53 +232,80 @@ def _traceless(pl: PeriodicLiouvillian):
     return tuple(op[1:] @ _FROM_TRACELESS for op in (pl.l0, pl.lp, pl.lm))
 
 
-def _solve_balance(pl: PeriodicLiouvillian, cutoff: int) -> np.ndarray:
-    """Harmonic balance at a fixed cutoff >= 1 as one banded solve.
+def _solve_balance(pl: PeriodicLiouvillian, cutoff: int, delta=None) -> np.ndarray:
+    """Harmonic balance at a fixed cutoff >= 1 by block elimination.
 
-    The unknowns are the traceless parts x_k of the module docstring,
-    ordered k = -cutoff .. cutoff with three coordinates each.
+    The traceless x_k are eliminated toward k = 0 as x_k = P_k x_{k-1}
+    + q_k (x_{k+1} for k < 0), halves on the first axis as in
+    _sambe_resolvent; q_k = 0 for |k| > 1.  ``delta`` (rad/ns) may hold
+    the beats of drives that share l0, lp and lm: a trailing axis.  The
+    loop runs in Python: 0.3 ms for one drive at cutoff 8, 120 ms at the
+    4096 ceiling, against 18 ms for a banded solve (2-vCPU shared host).
     """
     l0, lp, lm = _traceless(pl)
-    n = 2 * cutoff + 1
-    i, j = np.indices((3, 3))
-    # band storage ab[5 + row - col, col], viewed as (band, block, coordinate)
-    ab = np.zeros((11, n, 3), dtype=complex)
-    ab[5 + i - j, :, j] = l0[:, :, None]
-    ab[5] -= 1j * pl.delta * np.arange(-cutoff, cutoff + 1)[:, None]
-    ab[8 + i - j, :-1, j] = lp[:, :, None]  # x_{k-1} in row k
-    ab[2 + i - j, 1:, j] = lm[:, :, None]  # x_{k+1} in row k
-    rhs = np.zeros((n, 3), dtype=complex)
-    rhs[cutoff - 1 : cutoff + 2] = -np.stack([pl.lm[1:, 0], pl.l0[1:, 0], pl.lp[1:, 0]])
-    try:
-        x = solve_banded((5, 5), ab.reshape(11, -1), rhs.ravel())
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"harmonic balance solve failed: {exc}") from exc
-    harm = x.reshape(n, 3) @ _FROM_TRACELESS.T
+    beats = np.atleast_1d(pl.delta if delta is None else delta)
+    shift = -1j * np.multiply.outer(np.outer([1.0, -1.0], beats), np.eye(3))  # (half, beat)
+    inward, outward = np.stack([lp, lm])[:, None], np.stack([lm, lp])[:, None]
+    # [-inward | right-hand side] of row k in each half, the latter for k = +-1 only
+    rhs = np.concatenate([-inward, -np.stack([pl.lp, pl.lm])[:, None, 1:, :1]], axis=-1)
+    maps = np.empty((cutoff, 2, beats.size, 3, 4), dtype=complex)  # [P_k | q_k]
+    x = 0.0 * rhs  # [P | q] beyond the cutoff
+    for k in range(cutoff, 0, -1):
+        maps[k - 1] = np.linalg.solve(l0 + k * shift + outward @ x[..., :3], rhs * [1, 1, 1, k < 2])
+        x = maps[k - 1]
+    pq = outward @ x
+    x = np.linalg.solve(l0 + pq[..., :3].sum(axis=0), -pl.l0[1:, :1] - pq[..., 3:].sum(axis=0))
+    xs = np.empty((2 * cutoff + 1, beats.size, 3), dtype=complex)
+    xs[cutoff] = x[..., 0]
+    for k in range(1, cutoff + 1):
+        x = maps[k - 1, ..., :3] @ x + maps[k - 1, ..., 3:]
+        xs[cutoff + k], xs[cutoff - k] = x[..., 0]
+    harm = np.moveaxis(xs @ _FROM_TRACELESS.T, 1, -1)
     harm[cutoff, 0] += 1.0
-    return harm
+    return harm if np.ndim(delta) else harm[..., 0]
+
+
+def _steady_states(pls) -> list:
+    """Periodic steady states of drives that differ in the beat only.
+
+    Pending drives share one cutoff, doubled from 8 under the EDGE_TOL
+    gate, so each round is one batched _solve_balance.  Returns each
+    drive's PeriodicState, or its TruncationError at _STEADY_CEILING or
+    its SingularSystemError when solved alone.
+    """
+    out, pending, k = [None] * len(pls), list(range(len(pls))), 8
+    while pending:
+        try:
+            harm = _solve_balance(pls[0], k, np.array([pls[i].delta for i in pending]))
+        except np.linalg.LinAlgError as exc:
+            if len(pls) == 1:
+                return [SingularSystemError(f"harmonic balance solve failed: {exc}")]
+            for i in pending:
+                out[i] = _steady_states([pls[i]])[0]
+            break
+        ref, edge = np.linalg.norm(harm[k], axis=0), np.linalg.norm(harm[[0, -1]], axis=1).max(0)
+        for j, i in enumerate(pending):
+            if edge[j] <= EDGE_TOL * ref[j]:
+                out[i] = PeriodicState(harmonics=harm[..., j].copy(), cutoff=k, delta=pls[i].delta)
+            elif k >= _STEADY_CEILING:
+                e, r = edge[j], ref[j]
+                msg = f"harmonic balance not converged at cutoff {k}: edge harmonic {e:.3e}"
+                out[i] = TruncationError(f"{msg} vs rho_0 {r:.3e}", residual=float(e / r))
+        pending = [i for i in pending if out[i] is None]
+        k = min(2 * k, _STEADY_CEILING)
+    return out
 
 
 def periodic_steady_state(pl: PeriodicLiouvillian) -> PeriodicState:
-    """Periodic steady state with automatic cutoff doubling.
+    """Periodic steady state, the one-drive case of _steady_states.
 
-    The cutoff starts at 8 and doubles until the edge harmonic falls
-    below ``EDGE_TOL * ||rho_0||``; reaching _STEADY_CEILING without
-    convergence raises TruncationError carrying the residual edge norm.
+    The cutoff starts at 8 and doubles until the edge harmonic is below
+    ``EDGE_TOL * ||rho_0||``, or raises TruncationError at _STEADY_CEILING.
     """
-    k = 8
-    while True:
-        harm = _solve_balance(pl, k)
-        ref = np.linalg.norm(harm[k])
-        edge = max(np.linalg.norm(harm[0]), np.linalg.norm(harm[-1]))
-        if edge <= EDGE_TOL * ref:
-            return PeriodicState(harmonics=harm, cutoff=k, delta=pl.delta)
-        if k >= _STEADY_CEILING:
-            raise TruncationError(
-                f"harmonic balance not converged at cutoff {k}: "
-                f"edge harmonic {edge:.3e} vs rho_0 {ref:.3e}",
-                residual=float(edge / ref),
-            )
-        k = min(2 * k, _STEADY_CEILING)
+    (state,) = _steady_states([pl])
+    if isinstance(state, Exception):
+        raise state
+    return state
 
 
 def _filon_weights(theta: np.ndarray):

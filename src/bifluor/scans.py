@@ -393,12 +393,13 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     order, (p + w)^-n sums to pi cot(pi w) for n = 1 and to its
     derivatives for n = 2 .. 4.  What is left falls as ETALON_ORDERS^-5.
 
-    Each row starts at its steady-state cutoff; rows pending at one cutoff
-    share one batched sweep, a row is accepted when its edge harmonics are
-    within EDGE_TOL of its own largest x_0, and the others double their
-    cutoff.  A row that reaches CUTOFF_CEILING unconverged keeps that
-    result with a TruncationWarning, issued in row order, or fails under
-    ``strict``.
+    The rows' periodic steady states are solved together, one batched
+    elimination per cutoff.  Each row's resolvent starts at its
+    steady-state cutoff; rows pending at one cutoff share one batched
+    sweep, a row is accepted when its edge harmonics are within EDGE_TOL
+    of its own largest x_0, and the others double their cutoff.  A row
+    that reaches CUTOFF_CEILING unconverged keeps that result with a
+    TruncationWarning, issued in row order, or fails under ``strict``.
 
     Returns the intensity, the accepted cutoffs, the tail fractions and
     the failures as (delta3, message).
@@ -417,14 +418,16 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     # z_p^-n summed over the orders that are not solved
     rest = every * (np.pi / scale) ** n - np.sum(z ** -n[:, None], axis=1)
 
-    rows, errors, notes = {}, {}, {}
+    pls, errors, notes = {}, {}, {}
     for i, d3 in enumerate(delta3_values):
         drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d3, rabi=weak_rabi))
         try:
-            pl = build_periodic_liouvillian(emitter, drive)
-            rows[i] = pl, periodic_steady_state(pl)
+            pls[i] = build_periodic_liouvillian(emitter, drive)
         except BifluorError as exc:  # a numerical or input failure of this row only
             errors[i] = exc
+    states = dict(zip(pls, floquet._steady_states(list(pls.values()))))
+    errors.update((i, st) for i, st in states.items() if isinstance(st, BifluorError))
+    rows = {i: (pls[i], st) for i, st in states.items() if i not in errors}
 
     ceiling = floquet.CUTOFF_CEILING
     pending = {i: floquet._start_cutoff(pl, st) for i, (pl, st) in rows.items()}
@@ -496,6 +499,11 @@ def subharmonic_scan(
     if delta3_values.ndim != 1 or delta3_values.size < 5:
         raise ValidationError("delta3_values must hold at least five points")
     orders = _orders(orders)
+    bases = {n: 2.0 * strong.rabi / n for n in orders}
+    gaps = {n: bases[n] - 2.0 * strong.rabi / (n + 1) for n in orders}
+    for n, base in bases.items():
+        if not np.any((-delta3_values >= base - 1e-9) & (-delta3_values <= base + gaps[n])):
+            raise CoverageError(f"axis does not reach the order-{n} subharmonic at {base:g} GHz")
     g = 0.5 * float(np.sqrt(alpha_squared)) * strong.rabi
     intensity, cutoffs, tail_fraction, failures = _filtered_rows(
         emitter, strong, g, delta3_values, etalon, strict
@@ -503,14 +511,9 @@ def subharmonic_scan(
 
     dips = []
     for n in orders:
-        base = 2.0 * strong.rabi / n
-        gap_next = base - 2.0 * strong.rabi / (n + 1)
+        base, gap_next = bases[n], gaps[n]
         lo, hi = base - 0.5 * gap_next, base + 0.7 * gap_next
         mask = (-delta3_values >= lo) & (-delta3_values <= hi)
-        if not np.any((-delta3_values >= base - 1e-9) & (-delta3_values <= base + gap_next)):
-            raise CoverageError(
-                f"axis does not reach the order-{n} subharmonic at {base:g} GHz"
-            )
         x = -delta3_values[mask]
         y = intensity[mask]
         srt = np.argsort(x)

@@ -4,7 +4,8 @@ Nothing here shares numerical machinery with the package: density
 matrices are vectorized row-major, time evolution uses midpoint
 matrix exponentials on a fixed partition of the beat period, the
 periodic steady state comes from a dense eigendecomposition of the
-one-beat map, two-time correlations are assembled explicitly with the
+one-beat map or from one dense solve of the truncated harmonic
+balance, two-time correlations are assembled explicitly with the
 elastic part removed point by point as a product of mean values, and
 spectra are plain Simpson transforms.  These routines are slow on
 purpose; the suite freezes their outputs and keeps a few small live
@@ -93,6 +94,34 @@ def sambe_dense_solve(l0, lp, lm, delta, seed, nu):
         x = np.linalg.solve(np.diag(1j * (f + orders * delta)) - coupled, rhs)
         out.append(x.reshape(size, 3) @ embed.T)
     return np.array(out)
+
+
+def balance_dense_solve(l0, lp, lm, delta, cutoff):
+    """Every harmonic of the truncated periodic steady state, one dense solve.
+
+    Solves (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0 for
+    |k| <= cutoff in all four row-major coordinates of every harmonic,
+    4 (2 cutoff + 1) unknowns in one matrix.  The parts come from
+    generator_parts.  The generator keeps the trace, so the trace of row
+    k reads -i k delta tr rho_k = 0: every harmonic but rho_0 is
+    traceless, and the gg row of k = 0, which that makes redundant, is
+    replaced by tr rho_0 = 1.  Returns row-major vectors, shape
+    (2 cutoff + 1, 4).
+    """
+    size = 2 * cutoff + 1
+    orders = np.repeat(np.arange(-cutoff, cutoff + 1), 4)
+    matrix = (
+        np.kron(np.eye(size), l0)
+        + np.kron(np.eye(size, k=-1), lp)  # rho_{k-1} into row k
+        + np.kron(np.eye(size, k=1), lm)  # rho_{k+1} into row k
+        - np.diag(1j * delta * orders)
+    )
+    gg = 4 * cutoff  # the gg row of k = 0
+    matrix[gg] = 0.0
+    matrix[gg, [gg, gg + 3]] = 1.0
+    rhs = np.zeros(4 * size, dtype=complex)
+    rhs[gg] = 1.0
+    return np.linalg.solve(matrix, rhs).reshape(size, 4)
 
 
 def _beat_propagators(l0, lp, lm, delta, period, n_steps):

@@ -673,14 +673,12 @@ grid_step_ghz = 0.02
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert f"unknown key {key} for this command" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_signal_unloaded(self):
+    @staticmethod
+    def fresh_python(code):
+        """Run ``code`` in a new interpreter that imports this checkout's bifluor."""
         src = os.path.dirname(os.path.dirname(bifluor.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import sys, bifluor, bifluor.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules)"
-        )
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
@@ -688,7 +686,25 @@ grid_step_ghz = 0.02
             check=True,
             timeout=60,
         )
-        assert out.stdout.strip() == "False False"
+
+    def test_import_leaves_scipy_signal_unloaded(self):
+        code = (
+            "import sys, bifluor, bifluor.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.integrate' in sys.modules, "
+            "any(m.startswith('scipy') for m in sys.modules))"
+        )
+        assert self.fresh_python(code).stdout.strip() == "False False False"
+
+    def test_spectrum_runs_without_scipy(self, tmp_path):
+        # None in sys.modules makes every scipy import fail
+        cfg = write_cfg(tmp_path, SPECTRUM_CFG)
+        args = ["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            f"from bifluor import cli; sys.exit(cli.main({args!r}))"
+        )
+        self.fresh_python(code)
+        assert (tmp_path / "out" / "spectrum.csv").is_file()
 
     @pytest.mark.parametrize(
         "command, text, key",

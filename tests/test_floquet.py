@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    balance_dense_solve,
     brute_periodic_state,
     brute_spectrum,
     generator_parts,
@@ -29,7 +30,7 @@ from bifluor.floquet import (
     emission_spectrum,
     periodic_steady_state,
 )
-from bifluor.scans import degenerate_spectrum
+from bifluor.scans import degenerate_spectrum, subharmonic_axis
 
 # weight of the incoherent spectrum inside +-0.5 GHz of the drive, frozen
 # from the time-propagation oracle on the +-9 GHz, 0.01 GHz grid
@@ -322,6 +323,57 @@ def test_resolvent_matches_a_dense_solve(times, rabi, d1, weak_rabi, beat, phase
         assert np.abs(edge / norms[:, cutoff].max() - ref_edge).max() <= 1e-12
 
 
+beats = st.floats(1.0, 8.0) | st.floats(-8.0, -1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lifetimes, drives, st.floats(0.0, 6.2), st.sampled_from([1, 2, 16]), st.lists(beats, max_size=4)
+)
+def test_steady_state_matches_a_dense_solve(times, params, phase, cutoff, more_beats):
+    rabi, d1, weak_rabi, beat = params
+    em = EmitterParams(*times)
+    pl = build_periodic_liouvillian(em, random_drive(*params, phase=phase))
+    parts = generator_parts(*times, rabi, d1, weak_rabi, d1 + beat, phase)
+    harm = floquet._solve_balance(pl, cutoff)
+    assert harm.shape == (2 * cutoff + 1, 4)
+    ref = balance_dense_solve(*parts, cutoff)[:, [0, 2, 1, 3]]  # row-major to column-stacked
+    assert np.abs(harm - ref).max() <= 1e-12 * np.linalg.norm(ref[cutoff])
+    # drives that differ in the beat only: one batched solve, one doubling loop
+    pls = [pl] + [
+        build_periodic_liouvillian(em, random_drive(rabi, d1, weak_rabi, b, phase))
+        for b in more_beats
+    ]
+    batch = floquet._solve_balance(pl, cutoff, np.array([p.delta for p in pls]))
+    for j, p in enumerate(pls):
+        one = floquet._solve_balance(p, cutoff)
+        assert np.abs(batch[..., j] - one).max() <= 1e-14 * np.linalg.norm(one[cutoff])
+    for p, state in zip(pls, floquet._steady_states(pls)):
+        alone = periodic_steady_state(p)
+        assert state.cutoff == alone.cutoff and state.delta == p.delta
+        assert np.abs(state.harmonics - alone.harmonics).max() <= 1e-14 * np.linalg.norm(
+            alone.harmonic(0)
+        )
+
+
+def test_each_drive_unconverged_at_the_ceiling_gets_its_own_error(emitter, monkeypatch):
+    # the reference scan's rows converge at cutoffs 8 and 16, so a ceiling
+    # of 8 splits one batch into accepted states and errors
+    g = 0.5 * np.sqrt(0.359) * 2.9
+    axis = subharmonic_axis(2.9)
+    pls = [build_periodic_liouvillian(emitter, random_drive(2.9, 0.0, g, d3)) for d3 in axis]
+    cutoffs = [state.cutoff for state in floquet._steady_states(pls)]
+    assert 8 in cutoffs and max(cutoffs) > 8
+    monkeypatch.setattr(floquet, "_STEADY_CEILING", 8)
+    for pl, cutoff, state in zip(pls, cutoffs, floquet._steady_states(pls)):
+        if cutoff == 8:
+            assert isinstance(state, floquet.PeriodicState) and state.cutoff == 8
+        else:
+            assert isinstance(state, TruncationError) and state.residual > floquet.EDGE_TOL
+            with pytest.raises(TruncationError, match="cutoff 8"):
+                periodic_steady_state(pl)
+
+
 @settings(max_examples=25, deadline=None)
 @given(lifetimes, drives, st.floats(0.1, 6.2))
 def test_spectrum_does_not_depend_on_relative_phase(times, params, phase):
@@ -346,6 +398,30 @@ def test_flipping_both_detunings_mirrors_the_spectrum(times, params):
     mirrored = flipped.intensity[::-1]
     assert np.abs(mirrored - ref.intensity).max() <= 1e-10 * ref.intensity.max()
     assert flipped.elastic_weight == pytest.approx(ref.elastic_weight, rel=1e-10, abs=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives)
+def test_swapping_the_roles_of_the_lasers_leaves_the_spectrum(times, params):
+    # strong Omega at Delta1 and weak G at Delta3 are weak Omega / 2 at Delta1 and
+    # strong 2 G at Delta3: the same fields, seen from the other laser's frame
+    em = EmitterParams(*times)
+    rabi, d1, weak_rabi, beat = params
+    drive = random_drive(rabi, d1, weak_rabi, beat)
+    swapped = random_drive(2.0 * weak_rabi, d1 + beat, 0.5 * rabi, -beat)
+    reach = max(abs(d.strong.detuning) + np.hypot(2.0 * d.strong.rabi, d.strong.detuning)
+                + 2.0 * d.weak.rabi for d in (drive, swapped))
+    half = reach + abs(beat) + 3.0 / (2.0 * np.pi * em.t2_ns) + 0.5
+    grid = np.linspace(-half, half, 481)
+    ref, turned = spectrum_of(em, drive, grid), spectrum_of(em, swapped, grid)
+    assert np.abs(turned.intensity - ref.intensity).max() <= 1e-12 * ref.intensity.max()
+    # elastic lines by their order m, at Delta1 + m (Delta3 - Delta1)
+    lines = [{round((f - d1) / beat): w for f, w in s.elastic_lines} for s in (ref, turned)]
+    top = max(lines[0].values())
+    for m in lines[0].keys() | lines[1].keys():
+        assert abs(lines[0].get(m, 0.0) - lines[1].get(m, 0.0)) <= 1e-12 * top
+    for f, _w in turned.elastic_lines:
+        assert abs((f - d1) / beat - round((f - d1) / beat)) <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)

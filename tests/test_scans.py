@@ -193,6 +193,16 @@ class TestSubharmonics:
                 emitter, strong, axis, etalon, alpha_squared=0.0, orders=(1, 2)
             )
 
+    def test_axis_is_refused_before_any_row_is_solved(self, emitter, strong, monkeypatch):
+        def no_rows(*_args):
+            raise AssertionError("a row was built before the axis was checked")
+
+        monkeypatch.setattr(scans, "build_periodic_liouvillian", no_rows)
+        axis = subharmonic_axis(2.9, orders=(1,), points_per_order=5)
+        etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
+        with pytest.raises(CoverageError):
+            subharmonic_scan(emitter, strong, axis, etalon, orders=(1, 2))
+
     def test_scan_validation(self, emitter, strong):
         etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
         with pytest.raises(ValidationError):
@@ -302,6 +312,25 @@ class TestEtalonOrderSum:
         assert np.isnan(scan.intensity[2]) and scan.cutoffs[2] == 0
         keep = np.arange(axis.size) != 2
         assert np.array_equal(scan.intensity[keep], base.intensity[keep])
+
+    def test_a_singular_steady_state_fails_its_row_alone(self, emitter, strong, monkeypatch):
+        axis = subharmonic_axis(2.9, orders=(5,), points_per_order=6)
+        base = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
+        bad_beat = 2.0 * np.pi * axis[2]
+        solve = floquet._solve_balance
+
+        def singular_on_one_beat(pl, cutoff, delta=None):
+            if np.any(np.asarray(delta) == bad_beat):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(pl, cutoff, delta)
+
+        monkeypatch.setattr(floquet, "_solve_balance", singular_on_one_beat)
+        scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
+        assert [d3 for d3, _msg in scan.failures] == [axis[2]]
+        assert "SingularSystemError" in scan.failures[0][1]
+        keep = np.arange(axis.size) != 2
+        assert np.array_equal(scan.intensity[keep], base.intensity[keep])
+        assert np.array_equal(scan.cutoffs[keep], base.cutoffs[keep])
 
     def test_a_failed_row_records_cutoff_zero(self, emitter, strong):
         # Delta3 = Delta1 has no beat: that row fails, the others do not
