@@ -154,6 +154,7 @@ def _cmd_map(args, cfg: ConfigFile):
         x_name="delta2_ghz",
     )
     extra = _numbered("failure", [f"delta2={d2}: {msg}" for d2, msg in result.failures])
+    extra["diag.max_resolvent_cutoff"] = int(result.cutoffs.max())
     if want_fit:
         fit = fit_delta1(curve, strong.rabi, weak_rabi)
         extra["fit_delta1_ghz"] = fit.delta1

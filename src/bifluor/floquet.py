@@ -45,7 +45,11 @@ coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
 so every block is an arrow around x_ee, eliminated entry by entry on
 (2, n) arrays.  A cutoff is accepted when both edge harmonics
 are within EDGE_TOL of the largest x_0 on the grid: the steady state
-and the spectrum share that one tolerance.
+and the spectrum share that one tolerance.  One doubling loop,
+_resolvent_cutoffs, makes every such choice.  Rows that share a
+Liouvillian and differ in the beat only, as a scan's rows do, choose
+their cutoffs together, those pending at one cutoff in one sweep; a
+single spectrum is its one-row case.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -240,7 +244,7 @@ def _solve_balance(pl: PeriodicLiouvillian, cutoff: int, delta=None) -> np.ndarr
     _sambe_resolvent; q_k = 0 for |k| > 1.  ``delta`` (rad/ns) may hold
     the beats of drives that share l0, lp and lm: a trailing axis.  The
     loop runs in Python: 0.3 ms for one drive at cutoff 8, 120 ms at the
-    4096 ceiling, against 18 ms for a banded solve (2-vCPU shared host).
+    4096 ceiling (2-vCPU shared host).
     """
     l0, lp, lm = _traceless(pl)
     beats = np.atleast_1d(pl.delta if delta is None else delta)
@@ -498,11 +502,6 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int,
     return x0, edge.max(axis=0)
 
 
-def _start_cutoff(pl: PeriodicLiouvillian, state: PeriodicState) -> int:
-    """First resolvent cutoff: the steady state's, or 0 without a weak field."""
-    return min(state.cutoff, CUTOFF_CEILING) if np.any(pl.lp != 0.0) else 0
-
-
 def _edge_residual(x0: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """Edge norms over the largest norm of x_0, the quantity EDGE_TOL bounds."""
     return edge / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
@@ -517,31 +516,70 @@ def _truncation(cutoff: int, resid: float) -> TruncationError:
     )
 
 
-def emission_spectrum(
-    pl: PeriodicLiouvillian,
-    state: PeriodicState,
-    grid: np.ndarray,
-    strict: bool = False,
-) -> Spectrum:
-    """Beat-averaged emission spectrum on ``grid`` (GHz, relative to the transition).
+def _batched_resolvent(rows, idx, nu, cutoff):
+    """x_0 and edge norms of the rows ``idx`` at ``nu``, in one sweep.
 
-    Solves the Laplace-domain correlation in harmonic (Sambe) space at
-    every grid frequency at once (see the module docstring).  The
-    harmonic cutoff starts at ``state.cutoff`` and doubles until both
-    edge harmonics fall below EDGE_TOL of the largest x_0: first on SUBSAMPLE
-    grid points, then on the whole grid, solved once at the cutoff so
-    chosen and again at doubled cutoffs while it fails; at CUTOFF_CEILING
-    without convergence a TruncationWarning is issued (a TruncationError
-    under ``strict``) and the ceiling result is returned.  The elastic
-    lines are |<sigma->_m|^2 at Delta1 - m delta for every steady-state
-    harmonic m.  The grid must cover Delta1 +- (the larger of the Mollow
-    sideband offset sqrt((2 Omega)^2 + Delta1^2) and the beat |delta|,
-    plus 2 G and three linewidths); otherwise a CoverageError is raised.
+    The (PeriodicLiouvillian, PeriodicState) ``rows`` share l0, lp and
+    lm, so they are laid out on one axis with a beat and a seed per
+    element.  Returns (row, (x0, edge)) pairs, or (row, error) for a row
+    whose blocks are singular: a batch that hits one is solved again row
+    by row, so only that row fails.
     """
-    grid = np.asarray(grid, dtype=float)
-    emitter, drive = pl.emitter, pl.drive
+    pls, states = zip(*(rows[i] for i in idx))
+    seed = np.stack([_incoherent_seed(st, cutoff) for st in states], axis=2)
+    if len(idx) > 1:  # one row's seed broadcasts over nu
+        seed = np.repeat(seed, nu.size, axis=2)
+    beats = np.repeat([pl.delta for pl in pls], nu.size)
+    try:
+        x0, edge = _sambe_resolvent(pls[0], seed, np.tile(nu, len(idx)), cutoff, beats)
+    except SingularSystemError as exc:
+        if len(idx) == 1:
+            return [(idx[0], exc)]
+        return [pair for i in idx for pair in _batched_resolvent(rows, [i], nu, cutoff)]
+    x0, edge = x0.reshape(3, len(idx), nu.size), edge.reshape(len(idx), nu.size)
+    return [(i, (x0[:, r], edge[r])) for r, i in enumerate(idx)]
+
+
+def _resolvent_cutoffs(rows, nu, starts=None) -> list:
+    """Resolvent cutoff and x_0 at ``nu`` of rows as in _batched_resolvent.
+
+    A row starts at its entry of ``starts``, by default its steady-state
+    cutoff (0 without a weak field), and doubles until its edge harmonics
+    are within EDGE_TOL of its own largest x_0, or until CUTOFF_CEILING;
+    the rows pending at the smallest cutoff share one sweep.  Returns per
+    row (cutoff, x0, the TruncationError of an unconverged ceiling or
+    None), or its SingularSystemError.
+    """
+    if starts is None:
+        starts = [min(st.cutoff, CUTOFF_CEILING) if pl.lp.any() else 0 for pl, st in rows]
+    out, pending = [None] * len(rows), dict(enumerate(starts))
+    while pending:
+        cutoff = min(pending.values())
+        idx = [i for i, k in pending.items() if k == cutoff]
+        for i, result in _batched_resolvent(rows, idx, nu, cutoff):
+            if isinstance(result, SingularSystemError):
+                out[i] = result
+            else:
+                resid = float(_edge_residual(*result).max())
+                if resid > EDGE_TOL and cutoff < CUTOFF_CEILING:
+                    pending[i] = min(2 * cutoff, CUTOFF_CEILING)
+                    continue
+                truncation = _truncation(cutoff, resid) if resid > EDGE_TOL else None
+                out[i] = cutoff, result[0], truncation
+            del pending[i]
+    return out
+
+
+def _subsample(size: int) -> np.ndarray:
+    """Indices of SUBSAMPLE evenly spread points of a grid of ``size`` points."""
+    return np.unique(np.linspace(0, size - 1, SUBSAMPLE).round().astype(int))
+
+
+def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
+    """Raise CoverageError unless ``grid`` covers pl's lines (see emission_spectrum)."""
+    drive = pl.drive
     d1 = drive.strong.detuning
-    lw = 1.0 / (TWO_PI * emitter.t2_ns)
+    lw = 1.0 / (TWO_PI * pl.emitter.t2_ns)
     g_half = 2.0 * drive.weak.rabi
     span = np.hypot(2.0 * drive.strong.rabi, d1)  # Mollow sidebands at d1 +- span
     if drive.weak.rabi > 0.0:
@@ -554,17 +592,20 @@ def emission_spectrum(
             f"[{d1 - need:g}, {d1 + need:g}] GHz around the strong drive"
         )
 
+
+def _full_grid_spectrum(pl, state, grid: np.ndarray, cutoff: int, strict: bool):
+    """The spectrum and its accepted cutoff, from a cutoff chosen on the subsample.
+
+    The whole grid is the gate: while it fails, the points where its edge
+    residual and x_0 peak join the subsample, and the cutoff is chosen
+    again there from its double.  The ceiling is handled as in
+    emission_spectrum.
+    """
+    d1 = pl.drive.strong.detuning
     nu = TWO_PI * (grid - d1)
-    cutoff = _start_cutoff(pl, state)
-    sub = np.unique(np.linspace(0, nu.size - 1, SUBSAMPLE).round().astype(int))
+    sub = _subsample(grid.size)
     while True:
-        seed = _incoherent_seed(state, cutoff)
-        # the cutoff doubles on the subsample; the full grid is the gate
-        on_sub = sub.size < nu.size and cutoff < CUTOFF_CEILING
-        if on_sub and _edge_residual(*_sambe_resolvent(pl, seed, nu[sub], cutoff)).max() > EDGE_TOL:
-            cutoff = min(2 * cutoff, CUTOFF_CEILING)
-            continue
-        x0, edge = _sambe_resolvent(pl, seed, nu, cutoff)
+        x0, edge = _sambe_resolvent(pl, _incoherent_seed(state, cutoff), nu, cutoff)
         edge = _edge_residual(x0, edge)
         resid = float(np.max(edge))
         if resid <= EDGE_TOL:
@@ -572,10 +613,13 @@ def emission_spectrum(
         if cutoff >= CUTOFF_CEILING:
             if strict:
                 raise _truncation(cutoff, resid)
-            warnings.warn(str(_truncation(cutoff, resid)), TruncationWarning, stacklevel=2)
+            warnings.warn(str(_truncation(cutoff, resid)), TruncationWarning, stacklevel=3)
             break
-        cutoff = min(2 * cutoff, CUTOFF_CEILING)
         sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])
+        (choice,) = _resolvent_cutoffs([(pl, state)], nu[sub], [2 * cutoff])
+        if isinstance(choice, SingularSystemError):
+            raise choice
+        cutoff = choice[0]
     # the ge component, whose trace against sigma+ gives the correlation
     intensity = 2.0 * x0[1].real
     weights = np.abs(state.harmonics[:, 1]) ** 2
@@ -586,9 +630,41 @@ def emission_spectrum(
         for m, wt in zip(orders, weights)
         if wt > 0.0
     )
-    return Spectrum(
+    spectrum = Spectrum(
         freq=grid,
         intensity=intensity,
         elastic_weight=float(weights.sum()),
         elastic_lines=tuple(lines),
     )
+    return spectrum, cutoff
+
+
+def emission_spectrum(
+    pl: PeriodicLiouvillian,
+    state: PeriodicState,
+    grid: np.ndarray,
+    strict: bool = False,
+) -> Spectrum:
+    """Beat-averaged emission spectrum on ``grid`` (GHz, relative to the transition).
+
+    Solves the Laplace-domain correlation in harmonic (Sambe) space at
+    every grid frequency at once (see the module docstring).  The
+    harmonic cutoff starts at ``state.cutoff`` and doubles until both
+    edge harmonics fall below EDGE_TOL of the largest x_0: first on
+    SUBSAMPLE grid points, as the one-row case of _resolvent_cutoffs,
+    then on the whole grid, solved once at the cutoff so chosen and
+    again at doubled cutoffs while it fails; at CUTOFF_CEILING without
+    convergence a TruncationWarning is issued (a TruncationError under
+    ``strict``) and the ceiling result is returned.  The elastic
+    lines are |<sigma->_m|^2 at Delta1 - m delta for every steady-state
+    harmonic m.  The grid must cover Delta1 +- (the larger of the Mollow
+    sideband offset sqrt((2 Omega)^2 + Delta1^2) and the beat |delta|,
+    plus 2 G and three linewidths); otherwise a CoverageError is raised.
+    """
+    grid = np.asarray(grid, dtype=float)
+    _check_coverage(pl, grid)
+    nu = TWO_PI * (grid - pl.drive.strong.detuning)
+    (choice,) = _resolvent_cutoffs([(pl, state)], nu[_subsample(grid.size)])
+    if isinstance(choice, SingularSystemError):
+        raise choice
+    return _full_grid_spectrum(pl, state, grid, choice[0], strict)[0]

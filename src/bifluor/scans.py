@@ -6,29 +6,24 @@ subharmonic dip scan behind an etalon, and the equal-frequency
 (degenerate) drive limit where the beat note disappears and only the
 relative phase survives.
 
-The detuning map parallelizes over axis points with processes; the
-subharmonic scan needs no frequency grid and solves all its rows in
-batched resolvent sweeps.  Rows are assembled, and their warnings
-issued, by index, so results are identical for any worker count.
+The rows of both scans share a Liouvillian, so their steady states and
+resolvent cutoffs are solved together in batched sweeps; only the
+map's full-grid passes run in a process pool.  Rows are assembled, and
+their warnings issued, by index, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bloch, floquet
 from .dressed import _central_weight, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
-from .errors import (
-    BifluorError,
-    CoverageError,
-    SingularSystemError,
-    TruncationWarning,
-    ValidationError,
-)
+from .errors import BifluorError, CoverageError, TruncationWarning, ValidationError
 from .fitting import gauss_newton
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 
@@ -89,44 +84,45 @@ def _row_error(exc: BifluorError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _row_task(args):
-    """Worker for scan rows.
+def _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase=0.0, grid=None):
+    """Scan rows: a weak field at each detuning, with its periodic steady state.
 
-    Returns (index, intensity, elastic, error, warnings), the warnings as
-    (category, message) pairs, so that rows run in a pool lose none.
+    The steady states are solved in one batched call; with a ``grid``, a
+    row whose lines it does not cover fails first.  Returns {row:
+    (PeriodicLiouvillian, PeriodicState)} and {row: error}.
     """
-    idx, emitter, drive, grid, strict = args
+    pls, errors = {}, {}
+    for i, detuning in enumerate(detunings):
+        weak = DriveField(detuning=detuning, rabi=weak_rabi)
+        drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
+        try:
+            pl = build_periodic_liouvillian(emitter, drive)
+            if grid is not None:
+                floquet._check_coverage(pl, grid)
+        except BifluorError as exc:  # a numerical or input failure of this row only
+            errors[i] = exc
+        else:
+            pls[i] = pl
+    states = dict(zip(pls, floquet._steady_states(list(pls.values()))))
+    errors.update((i, st) for i, st in states.items() if isinstance(st, BifluorError))
+    return {i: (pls[i], st) for i, st in states.items() if i not in errors}, errors
+
+
+def _row_task(args):
+    """Full-grid pass of one map row; returns (index, intensity, elastic, cutoff, error, warnings).
+
+    The warnings are (category, message) pairs, so that rows run in a
+    pool lose none.
+    """
+    idx, pl, state, grid, cutoff, strict = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            pl = build_periodic_liouvillian(emitter, drive)
-            state = periodic_steady_state(pl)
-            spec = emission_spectrum(pl, state, grid, strict=strict)
-            row = idx, spec.intensity, float(spec.elastic_weight), None
-        except BifluorError as exc:  # a numerical or input failure of this row only
-            row = idx, None, float("nan"), _row_error(exc)
+            spec, cutoff = floquet._full_grid_spectrum(pl, state, grid, cutoff, strict)
+            row = idx, spec.intensity, spec.elastic_weight, cutoff, None
+        except BifluorError as exc:  # a numerical failure of this row only
+            row = idx, np.nan, np.nan, 0, _row_error(exc)
     return *row, [(w.category, str(w.message)) for w in caught]
-
-
-def _run_rows(tasks, workers: int, axis):
-    """Good rows as (index, intensity, elastic), failures as (axis value, error).
-
-    The rows' warnings are issued again here, in row order.
-    """
-    if workers < 1:
-        raise ValidationError("workers must be at least 1")
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, tasks))
-    else:
-        rows = [_row_task(t) for t in tasks]
-    for row in rows:
-        for category, message in row[4]:
-            warnings.warn(message, category, stacklevel=3)
-    failures = tuple((float(axis[r[0]]), r[3]) for r in rows if r[3] is not None)
-    return [r[:3] for r in rows if r[3] is None], failures
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,11 @@ class ScanResult2D:
     intensity: np.ndarray
     elastic_weight: np.ndarray
     failures: tuple[tuple[float, str], ...]
+    # accepted resolvent cutoff of each row, 0 for a failed row
+    cutoffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     def __post_init__(self):
-        for arr in (self.delta2, self.freq, self.intensity, self.elastic_weight):
+        for arr in (self.delta2, self.freq, self.intensity, self.elastic_weight, self.cutoffs):
             arr.setflags(write=False)
 
 
@@ -162,30 +160,47 @@ def detuning_map(
 
     Delta2 = Delta3 + 2 Omega locates the weak field relative to the
     inner dressed transition; each axis point gets a weak field at the
-    corresponding bare detuning.  Workers > 1 distributes rows over
-    processes; the result does not depend on the worker count.
+    corresponding bare detuning.  The rows are prepared together, their
+    steady states and subsample cutoffs in batched solves; workers > 1
+    distributes their full-grid passes over processes, and the result
+    does not depend on the worker count.
     """
     delta2_values = np.asarray(delta2_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if delta2_values.ndim != 1 or delta2_values.size == 0:
         raise ValidationError("delta2_values must be a non-empty 1d array")
-    tasks = []
-    for i, d2 in enumerate(delta2_values):
-        weak = DriveField(detuning=d2 - 2.0 * strong.rabi, rabi=weak_rabi)
-        drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
-        tasks.append((i, emitter, drive, grid, strict))
-    rows, failures = _run_rows(tasks, workers, delta2_values)
+    if workers < 1:
+        raise ValidationError("workers must be at least 1")
+    detunings = delta2_values - 2.0 * strong.rabi
+    rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
+    sub_nu = TWO_PI * (grid - strong.detuning)[floquet._subsample(grid.size)]
+    chosen = dict(zip(rows, floquet._resolvent_cutoffs(list(rows.values()), sub_nu)))
+    errors.update((i, c) for i, c in chosen.items() if isinstance(c, BifluorError))
+    tasks = [(i, *rows[i], grid, chosen[i][0], strict) for i in rows if i not in errors]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_row_task, tasks))
+    else:
+        done = [_row_task(t) for t in tasks]
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
-    for idx, row, ew in rows:
-        intensity[idx] = row
-        elastic[idx] = ew
+    cutoffs = np.zeros(delta2_values.size, dtype=int)
+    failures = {i: _row_error(exc) for i, exc in errors.items()}
+    for idx, row, ew, cutoff, error, caught in done:
+        for category, message in caught:
+            warnings.warn(message, category, stacklevel=2)
+        intensity[idx], elastic[idx], cutoffs[idx] = row, ew, cutoff
+        if error is not None:
+            failures[idx] = error
     return ScanResult2D(
         delta2=delta2_values,
         freq=grid,
         intensity=intensity,
         elastic_weight=elastic,
-        failures=failures,
+        failures=tuple((float(delta2_values[i]), failures[i]) for i in sorted(failures)),
+        cutoffs=cutoffs,
     )
 
 
@@ -332,33 +347,6 @@ def subharmonic_axis(
     return np.array(sorted(points))
 
 
-def _batched_resolvent(rows, idx, nu, cutoff):
-    """x_0 and edge norms of the rows ``idx`` at ``nu``, in one sweep.
-
-    ``rows`` maps a row to its (PeriodicLiouvillian, PeriodicState); the
-    rows share l0, lp and lm, so they are laid out row by row on one axis
-    with a beat and a seed per element.  Returns (row, (x0, edge)) pairs,
-    or (row, error) for a row whose blocks are singular: a batch that
-    hits one is solved again row by row, so only that row fails.
-    """
-    pls, states = zip(*(rows[i] for i in idx))
-    seed = np.stack([floquet._incoherent_seed(st, cutoff) for st in states], axis=2)
-    try:
-        x0, edge = floquet._sambe_resolvent(
-            pls[0],
-            np.repeat(seed, nu.size, axis=2),
-            np.tile(nu, len(idx)),
-            cutoff,
-            np.repeat([pl.delta for pl in pls], nu.size),
-        )
-    except SingularSystemError as exc:
-        if len(idx) == 1:
-            return [(idx[0], exc)]
-        return [pair for i in idx for pair in _batched_resolvent(rows, [i], nu, cutoff)]
-    x0, edge = x0.reshape(3, len(idx), nu.size), edge.reshape(len(idx), nu.size)
-    return [(i, (x0[:, r], edge[r])) for r, i in enumerate(idx)]
-
-
 def _laurent_coefficients(rows, good, terms: int) -> np.ndarray:
     """c_j, j < terms, of x_0[ge] = sum_j c_j / z^(j+1) for large z; shape (rows, terms).
 
@@ -393,13 +381,12 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     order, (p + w)^-n sums to pi cot(pi w) for n = 1 and to its
     derivatives for n = 2 .. 4.  What is left falls as ETALON_ORDERS^-5.
 
-    The rows' periodic steady states are solved together, one batched
-    elimination per cutoff.  Each row's resolvent starts at its
-    steady-state cutoff; rows pending at one cutoff share one batched
-    sweep, a row is accepted when its edge harmonics are within EDGE_TOL
-    of its own largest x_0, and the others double their cutoff.  A row
-    that reaches CUTOFF_CEILING unconverged keeps that result with a
-    TruncationWarning, issued in row order, or fails under ``strict``.
+    The rows' periodic steady states are solved together, and so are
+    their resolvents (floquet._resolvent_cutoffs): each row's cutoff
+    starts at its steady-state cutoff, and rows pending at one cutoff
+    share one batched sweep.  A row that reaches the ceiling unconverged
+    keeps that result with a TruncationWarning, issued in row order, or
+    fails under ``strict``.
 
     Returns the intensity, the accepted cutoffs, the tail fractions and
     the failures as (delta3, message).
@@ -418,42 +405,21 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     # z_p^-n summed over the orders that are not solved
     rest = every * (np.pi / scale) ** n - np.sum(z ** -n[:, None], axis=1)
 
-    pls, errors, notes = {}, {}, {}
-    for i, d3 in enumerate(delta3_values):
-        drive = BichromaticDrive(strong=strong, weak=DriveField(detuning=d3, rabi=weak_rabi))
-        try:
-            pls[i] = build_periodic_liouvillian(emitter, drive)
-        except BifluorError as exc:  # a numerical or input failure of this row only
-            errors[i] = exc
-    states = dict(zip(pls, floquet._steady_states(list(pls.values()))))
-    errors.update((i, st) for i, st in states.items() if isinstance(st, BifluorError))
-    rows = {i: (pls[i], st) for i, st in states.items() if i not in errors}
-
-    ceiling = floquet.CUTOFF_CEILING
-    pending = {i: floquet._start_cutoff(pl, st) for i, (pl, st) in rows.items()}
+    rows, errors = _weak_rows(emitter, strong, weak_rabi, delta3_values)
     x0_ge = np.zeros((n_rows, nu.size), dtype=complex)
     cutoffs = np.zeros(n_rows, dtype=int)
-    while pending:
-        groups = {}
-        for i, cutoff in pending.items():
-            groups.setdefault(cutoff, []).append(i)
-        pending = {}
-        for cutoff, idx in sorted(groups.items()):
-            for i, result in _batched_resolvent(rows, idx, nu, cutoff):
-                if isinstance(result, BifluorError):
-                    errors[i] = result
-                    continue
-                x0, edge = result
-                resid = float(floquet._edge_residual(x0, edge).max())
-                if resid > floquet.EDGE_TOL and cutoff < ceiling:
-                    pending[i] = min(2 * cutoff, ceiling)
-                    continue
-                if resid > floquet.EDGE_TOL:
-                    if strict:
-                        errors[i] = floquet._truncation(cutoff, resid)
-                        continue
-                    notes[i] = str(floquet._truncation(cutoff, resid))
-                x0_ge[i], cutoffs[i] = x0[1], cutoff
+    notes = []
+    for i, choice in zip(rows, floquet._resolvent_cutoffs(list(rows.values()), nu)):
+        if isinstance(choice, BifluorError):
+            errors[i] = choice
+            continue
+        cutoff, x0, truncation = choice
+        if truncation is not None and strict:
+            errors[i] = truncation
+            continue
+        if truncation is not None:
+            notes.append(str(truncation))
+        x0_ge[i], cutoffs[i] = x0[1], cutoff
 
     good = [i for i in rows if i not in errors]
     intensity = np.full(n_rows, np.nan)
@@ -463,7 +429,7 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
         total = 2.0 * x0_ge[good].real.sum(axis=1) + tail
         intensity[good] = weight * total
         tail_fraction[good] = np.abs(tail / total)
-    for _i, message in sorted(notes.items()):
+    for message in notes:
         warnings.warn(message, TruncationWarning, stacklevel=3)
     failures = tuple((float(delta3_values[i]), _row_error(errors[i])) for i in sorted(errors))
     return intensity, cutoffs, tail_fraction, failures

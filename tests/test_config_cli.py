@@ -392,6 +392,7 @@ class TestCli:
         assert len(curve_rows) == 6
         meta = (out / "metadata.txt").read_text()
         assert "n_failures=0" in meta
+        assert "\ndiag.max_resolvent_cutoff=16\n" in meta
         assert "fit_delta1_ghz=" in meta
         assert "\nstrict=False\nworkers=1\n" in meta
         assert "fitted strong detuning" in capsys.readouterr().out
@@ -810,7 +811,13 @@ grid_step_ghz = 0.02
     METADATA_NUMBERS = {
         "mollow": ("n_warnings",),
         "spectrum": ("steady_state_cutoff", "n_warnings"),
-        "map": ("workers", "n_failures", "fit_delta1_ghz", "n_warnings"),
+        "map": (
+            "workers",
+            "n_failures",
+            "diag.max_resolvent_cutoff",
+            "fit_delta1_ghz",
+            "n_warnings",
+        ),
         "subharmonics": (
             "n_dips",
             "n_failures",

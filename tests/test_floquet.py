@@ -167,9 +167,9 @@ def resolvent_calls(monkeypatch):
     calls = []
     solve = floquet._sambe_resolvent
 
-    def spy(pl, seed, nu, cutoff):
+    def spy(pl, seed, nu, cutoff, delta=None):
         calls.append((pl, nu, cutoff))
-        return solve(pl, seed, nu, cutoff)
+        return solve(pl, seed, nu, cutoff, delta)
 
     monkeypatch.setattr(floquet, "_sambe_resolvent", spy)
     return calls
@@ -422,6 +422,21 @@ def test_swapping_the_roles_of_the_lasers_leaves_the_spectrum(times, params):
         assert abs(lines[0].get(m, 0.0) - lines[1].get(m, 0.0)) <= 1e-12 * top
     for f, _w in turned.elastic_lines:
         assert abs((f - d1) / beat - round((f - d1) / beat)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.floats(200.0, 800.0), st.floats(0.3, 2.0)).map(lambda t: (t[0], t[1] * t[0])),
+    st.floats(-2.0, 2.0),  # Delta1
+    st.floats(0.5, 6.0) | st.floats(-6.0, -0.5),  # beat Delta3 - Delta1
+    st.floats(0.0, 6.2),
+)
+def test_the_spectrum_is_never_negative(times, d1, beat, phase):
+    # a power spectrum: any dip below zero is truncation error, which EDGE_TOL bounds
+    em = EmitterParams(*times)
+    drive = random_drive(2.9, d1, 0.87, beat, phase)
+    spec = spectrum_of(em, drive, np.linspace(-20.0, 20.0, 4001))
+    assert spec.intensity.min() >= -floquet.EDGE_TOL * spec.intensity.max()
 
 
 @settings(max_examples=25, deadline=None)

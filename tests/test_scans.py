@@ -1,5 +1,7 @@
 """Detuning maps, subharmonic scans, degenerate driving, etalon filter."""
 
+import ast
+import inspect
 import warnings
 
 import numpy as np
@@ -66,6 +68,10 @@ class TestEtalon:
             EtalonFilter(center_ghz=0.0, fsr_ghz=np.inf, fwhm_ghz=0.1)
 
 
+MAP_AXIS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+MAP_GRID = np.arange(-40, 41) * 0.25
+
+
 class TestDetuningMap:
     def test_rows_without_weak_field_are_identical(self, emitter, strong):
         grid = np.round(np.arange(-90, 91) * 0.1, 1)
@@ -73,6 +79,66 @@ class TestDetuningMap:
         assert result.failures == ()
         assert np.array_equal(result.intensity[0], result.intensity[1])
         assert np.array_equal(result.intensity[0], result.intensity[2])
+        assert list(result.cutoffs) == [0, 0, 0]
+
+    def test_rows_equal_emission_spectrum_row_by_row(self, emitter, strong, monkeypatch):
+        # rows prepared together give each row's own spectrum and cutoff, bit for bit
+        result = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
+        assert result.failures == ()
+        calls = []
+        solve = floquet._sambe_resolvent
+
+        def spy(pl, seed, nu, cutoff, delta=None):
+            calls.append((nu.size, cutoff))
+            return solve(pl, seed, nu, cutoff, delta)
+
+        monkeypatch.setattr(floquet, "_sambe_resolvent", spy)
+        rows = zip(MAP_AXIS, result.intensity, result.elastic_weight, result.cutoffs)
+        for d2, row, ew, cutoff in rows:
+            weak = DriveField(detuning=d2 - 2.0 * strong.rabi, rabi=0.87)
+            pl = build_periodic_liouvillian(emitter, BichromaticDrive(strong=strong, weak=weak))
+            calls.clear()
+            spec = emission_spectrum(pl, periodic_steady_state(pl), MAP_GRID)
+            assert np.array_equal(row, spec.intensity) and ew == spec.elastic_weight
+            assert cutoff == [k for size, k in calls if size == MAP_GRID.size][-1]
+        assert np.all(result.cutoffs > 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["zero_beat", "singular_steady_state"])
+    def test_a_failed_row_fails_alone(self, emitter, strong, monkeypatch, case, workers):
+        base = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
+        axis = MAP_AXIS.copy()
+        if case == "zero_beat":  # Delta2 = 2 Omega + Delta1 puts the weak field on the strong one
+            axis[2] = 2.0 * strong.rabi + strong.detuning
+            error = "DegenerateDriveError"
+        else:
+            bad_beat = 2.0 * np.pi * (axis[2] - 2.0 * strong.rabi - strong.detuning)
+            solve = floquet._solve_balance
+
+            def singular_on_one_beat(pl, cutoff, delta=None):
+                if np.any(np.asarray(delta) == bad_beat):
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(pl, cutoff, delta)
+
+            monkeypatch.setattr(floquet, "_solve_balance", singular_on_one_beat)
+            error = "SingularSystemError"
+        result = detuning_map(emitter, strong, 0.87, axis, MAP_GRID, workers=workers)
+        assert [d2 for d2, _msg in result.failures] == [axis[2]]
+        assert error in result.failures[0][1]
+        assert np.isnan(result.intensity[2]).all() and np.isnan(result.elastic_weight[2])
+        assert result.cutoffs[2] == 0
+        keep = np.arange(axis.size) != 2
+        assert np.array_equal(result.intensity[keep], base.intensity[keep])
+        assert np.array_equal(result.elastic_weight[keep], base.elastic_weight[keep])
+        assert np.array_equal(result.cutoffs[keep], base.cutoffs[keep])
+
+    def test_workers_are_checked_before_any_row_is_built(self, emitter, strong, monkeypatch):
+        def no_rows(*_args, **_kwargs):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(scans, "build_periodic_liouvillian", no_rows)
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=0)
 
     def test_failed_rows_are_reported_not_raised(self, emitter, strong):
         grid = np.linspace(-2.0, 2.0, 41)
@@ -85,7 +151,7 @@ class TestDetuningMap:
         def broken(*_args, **_kwargs):
             raise TypeError("broken engine")
 
-        monkeypatch.setattr(scans, "emission_spectrum", broken)
+        monkeypatch.setattr(floquet, "_full_grid_spectrum", broken)
         with pytest.raises(TypeError, match="broken engine"):
             detuning_map(emitter, strong, 0.87, np.array([0.0]), np.linspace(-9, 9, 37), workers=1)
 
@@ -283,7 +349,7 @@ class TestEtalonOrderSum:
             pl = build_periodic_liouvillian(emitter, drive)
             rows[i] = pl, periodic_steady_state(pl)
         nu = 2.0 * np.pi * (9.18 * np.arange(-3, 4) - 0.02j)
-        for i, (x0, edge) in scans._batched_resolvent(rows, list(rows), nu, 16):
+        for i, (x0, edge) in floquet._batched_resolvent(rows, list(rows), nu, 16):
             pl, state = rows[i]
             one = floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 16), nu, 16)
             scale = np.abs(one[0]).max()
@@ -436,6 +502,25 @@ class TestDegenerate:
             plateau_edges(freq, np.ones_like(freq), 2.9, 0.0)
         with pytest.raises(CoverageError):
             plateau_edges(np.array([0.0, 6.0, 12.0]), np.ones(3), 2.9, 0.36)
+
+
+def test_the_cutoff_policy_lives_in_floquet():
+    # scans hand their rows to floquet's one doubling loop; they name none of its parts
+    tree = ast.parse(inspect.getsource(scans))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    policy = {
+        "_start_cutoff",
+        "_edge_residual",
+        "_truncation",
+        "_sambe_resolvent",
+        "EDGE_TOL",
+        "CUTOFF_CEILING",
+    }
+    assert names.isdisjoint(policy)
 
 
 def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
