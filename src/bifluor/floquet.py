@@ -15,10 +15,11 @@ The periodic steady state is found by harmonic balance,
 
 Only rho_0 carries trace, and trace 1, so the unknowns are the traceless
 parts x_k = rho_k - |g><g| delta_k0 in coordinates (x_eg, x_ge, x_ee):
-|g><g| moves to the right-hand side of rows k = 0, +-1.  Both halves are
-eliminated toward k = 0 as a matrix continued fraction (Risken, The
-Fokker-Planck Equation, ch. 9), and rho_0 then gives every harmonic.
-The cutoff doubles until the edge harmonics fall below EDGE_TOL of rho_0.
+|g><g| moves to the right-hand side of rows k = 0, +-1.  Negated, that
+is the resolvent below at nu = 0, seeded with the generator on |g><g|:
+one sweep, a matrix continued fraction (Risken, The Fokker-Planck
+Equation, ch. 9), solves both.  The cutoff doubles until the edge
+harmonics fall below EDGE_TOL of rho_0.
 
 The emission spectrum needs the beat-phase average of the two-time
 correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
@@ -237,34 +238,16 @@ def _traceless(pl: PeriodicLiouvillian):
 
 
 def _solve_balance(pl: PeriodicLiouvillian, cutoff: int, delta=None) -> np.ndarray:
-    """Harmonic balance at a fixed cutoff >= 1 by block elimination.
+    """Harmonic balance at a fixed cutoff >= 1: the Sambe resolvent at nu = 0.
 
-    The traceless x_k are eliminated toward k = 0 as x_k = P_k x_{k-1}
-    + q_k (x_{k+1} for k < 0), halves on the first axis as in
-    _sambe_resolvent; q_k = 0 for |k| > 1.  ``delta`` (rad/ns) may hold
-    the beats of drives that share l0, lp and lm: a trailing axis.  The
-    loop runs in Python: 0.3 ms for one drive at cutoff 8, 120 ms at the
-    4096 ceiling (2-vCPU shared host).
+    Its seed is the generator acting on |g><g| (module docstring): l0, lp
+    and lm's column gg at k = 0, +1 and -1.  ``delta`` (rad/ns) may hold
+    the beats of drives that share l0, lp and lm: a trailing axis.
     """
-    l0, lp, lm = _traceless(pl)
     beats = np.atleast_1d(pl.delta if delta is None else delta)
-    shift = -1j * np.multiply.outer(np.outer([1.0, -1.0], beats), np.eye(3))  # (half, beat)
-    inward, outward = np.stack([lp, lm])[:, None], np.stack([lm, lp])[:, None]
-    # [-inward | right-hand side] of row k in each half, the latter for k = +-1 only
-    rhs = np.concatenate([-inward, -np.stack([pl.lp, pl.lm])[:, None, 1:, :1]], axis=-1)
-    maps = np.empty((cutoff, 2, beats.size, 3, 4), dtype=complex)  # [P_k | q_k]
-    x = 0.0 * rhs  # [P | q] beyond the cutoff
-    for k in range(cutoff, 0, -1):
-        maps[k - 1] = np.linalg.solve(l0 + k * shift + outward @ x[..., :3], rhs * [1, 1, 1, k < 2])
-        x = maps[k - 1]
-    pq = outward @ x
-    x = np.linalg.solve(l0 + pq[..., :3].sum(axis=0), -pl.l0[1:, :1] - pq[..., 3:].sum(axis=0))
-    xs = np.empty((2 * cutoff + 1, beats.size, 3), dtype=complex)
-    xs[cutoff] = x[..., 0]
-    for k in range(1, cutoff + 1):
-        x = maps[k - 1, ..., :3] @ x + maps[k - 1, ..., 3:]
-        xs[cutoff + k], xs[cutoff - k] = x[..., 0]
-    harm = np.moveaxis(xs @ _FROM_TRACELESS.T, 1, -1)
+    seed = np.zeros((2 * cutoff + 1, 3, beats.size), dtype=complex)
+    seed[cutoff - 1 : cutoff + 2] = np.stack([pl.lm, pl.l0, pl.lp])[:, 1:, :1]
+    harm = _FROM_TRACELESS @ _sambe_resolvent(pl, seed, 0.0 * beats, cutoff, beats, harmonics=True)
     harm[cutoff, 0] += 1.0
     return harm if np.ndim(delta) else harm[..., 0]
 
@@ -281,7 +264,7 @@ def _steady_states(pls) -> list:
     while pending:
         try:
             harm = _solve_balance(pls[0], k, np.array([pls[i].delta for i in pending]))
-        except np.linalg.LinAlgError as exc:
+        except SingularSystemError as exc:
             if len(pls) == 1:
                 return [SingularSystemError(f"harmonic balance solve failed: {exc}")]
             for i in pending:
@@ -409,7 +392,7 @@ def _incoherent_seed(state: PeriodicState, cutoff: int) -> np.ndarray:
 _HALVES = np.array([[_S, _F, _H], [_F, _S, _H]])
 
 
-def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int, delta=None):
+def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonics=False):
     """Batched Sambe-space resolvent: x_0 at every nu and the edge norms.
 
     ``nu`` may be complex with Im nu < 0, i.e. Re z > 0 for z = i nu,
@@ -433,7 +416,9 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int,
     fills (0, 2) and (2, 1), the inward one (1, 2) and (2, 0), and every
     block, Schur term included, is an arrow solved by scalar formulas.
     The map from x_0 to the edge harmonic has rank one after two steps,
-    so it is carried as a scalar affine map.
+    so it is carried as a scalar affine map.  With ``harmonics`` (the
+    steady state, _solve_balance) every step is kept, and every x_k, found
+    outward from x_0, is returned instead: shape (2 * cutoff + 1, 3, n).
     """
     l0, lp, lm = _traceless(pl)
     up, down = (np.ix_(p, p) for p in _HALVES)
@@ -452,6 +437,13 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int,
     seeds = np.stack([seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2)
     shift = 1j * (pl.delta if delta is None else delta) * np.array([[1.0], [-1.0]])
     s00 = s02 = s20 = s22 = z0 = z1 = z2 = 0.0
+    steps = []  # factors of block cutoff, and of every block with ``harmonics``
+
+    def outward(step, hub, spoke):  # x_j = inv_j inward x_{j-1} + z_j, from (hub, spoke 0)_{j-1}
+        u0, vw, inv11, w, uw, z0, z1, z2 = step
+        e1, e2 = i12 * hub, i20 * spoke
+        h = w * e2 - vw * e1
+        return z0 - u0 * h, inv11 * e1 - uw * e2 + z1, h + z2
     for j in range(cutoff, 0, -1):
         # x_j = inv (inward x_{j-1} + r), r = seed_j + outward z_{j+1}, z_j = inv r
         t = j * shift
@@ -469,10 +461,8 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int,
         s00, s02, s20, s22 = m00 * w, m02 * vw, m20 * uw, m22 * inv11
         # (hub, spoke 0) of block j is (w, -u0 w) eta_j + (z2, z0), with
         # eta_j = bq hub_{j-1} + i20 spoke_{j-1}
-        if j == cutoff:  # x_c = fx hub_{c-1} + fz spoke_{c-1} + e
-            fx = (u0 * vw * i12, inv11 * i12, -vw * i12)
-            fz = (-u0 * w * i20, -uw * i20, w * i20)
-            e = (z0, z1, z2)
+        if harmonics or j == cutoff:
+            steps.append((u0, vw, inv11, w, uw, z0, z1, z2))
         elif j == cutoff - 1:  # (hub, spoke 0)_{c-1} = lead (gain eta_j + acc) + tail
             lead, tail, gain, acc = (w, -u0 * w), (z2, z0), 1.0, 0.0
         else:  # eta_{j+1} = w (bq - i20 u0) eta_j + bq z2 + i20 z0
@@ -490,15 +480,23 @@ def _sambe_resolvent(pl: PeriodicLiouvillian, seed: np.ndarray, nu, cutoff: int,
     spokes = p0 * (r0 - a02 * hub)
     x0 = np.empty((3, hub.size), dtype=complex)
     x0[_HALVES[:, 0]], x0[_H] = spokes, hub
-    if not np.all(np.isfinite(x0)):
+    if harmonics:  # outward from k = 0, both halves at once
+        x, out = (spokes, None, hub), []
+        for step in reversed(steps):
+            out.append(x := outward(step, x[2], x[0]))
+        out = np.array(out)  # (k - 1, coordinate, half, nu); each _HALVES row is its own inverse
+        xs = np.concatenate([out[::-1, _HALVES[1], 1], x0[None], out[:, _HALVES[0], 0]])
+    if not np.all(np.isfinite(xs if harmonics else x0)):
         raise SingularSystemError("resolvent solve hit a singular block")
+    if harmonics:
+        return xs
     if cutoff == 0:
         return x0, np.zeros(hub.size)
     pair = (hub, spokes)
     if cutoff > 1:
         eta = gain * (bq * hub + i20 * spokes) + acc
         pair = (lead[0] * eta + tail[0], lead[1] * eta + tail[1])
-    edge = np.linalg.norm([x * pair[0] + z * pair[1] + c for x, z, c in zip(fx, fz, e)], axis=0)
+    edge = np.linalg.norm(outward(steps[0], *pair), axis=0)
     return x0, edge.max(axis=0)
 
 
@@ -593,33 +591,35 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
         )
 
 
-def _full_grid_spectrum(pl, state, grid: np.ndarray, cutoff: int, strict: bool):
-    """The spectrum and its accepted cutoff, from a cutoff chosen on the subsample.
+def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
+    """The spectrum and its accepted cutoff, from the choice made on the subsample.
 
-    The whole grid is the gate: while it fails, the points where its edge
-    residual and x_0 peak join the subsample, and the cutoff is chosen
-    again there from its double.  The ceiling is handled as in
-    emission_spectrum.
+    ``choice`` is _resolvent_cutoffs' (cutoff, x0, truncation) there.
+    Unless the subsample is the whole grid, the whole grid is the gate:
+    while it fails, the points where its edge residual and x_0 peak join
+    the subsample, and the cutoff is chosen again there from its double.
+    The ceiling is handled as in emission_spectrum.
     """
     d1 = pl.drive.strong.detuning
     nu = TWO_PI * (grid - d1)
     sub = _subsample(grid.size)
-    while True:
+    cutoff, x0, truncation = choice
+    while sub.size < grid.size:
         x0, edge = _sambe_resolvent(pl, _incoherent_seed(state, cutoff), nu, cutoff)
         edge = _edge_residual(x0, edge)
         resid = float(np.max(edge))
-        if resid <= EDGE_TOL:
-            break
-        if cutoff >= CUTOFF_CEILING:
-            if strict:
-                raise _truncation(cutoff, resid)
-            warnings.warn(str(_truncation(cutoff, resid)), TruncationWarning, stacklevel=3)
+        truncation = _truncation(cutoff, resid) if resid > EDGE_TOL else None
+        if truncation is None or cutoff >= CUTOFF_CEILING:
             break
         sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])
         (choice,) = _resolvent_cutoffs([(pl, state)], nu[sub], [2 * cutoff])
         if isinstance(choice, SingularSystemError):
             raise choice
-        cutoff = choice[0]
+        cutoff, x0, truncation = choice
+    if truncation is not None:
+        if strict:
+            raise truncation
+        warnings.warn(str(truncation), TruncationWarning, stacklevel=3)
     # the ge component, whose trace against sigma+ gives the correlation
     intensity = 2.0 * x0[1].real
     weights = np.abs(state.harmonics[:, 1]) ** 2
@@ -667,4 +667,4 @@ def emission_spectrum(
     (choice,) = _resolvent_cutoffs([(pl, state)], nu[_subsample(grid.size)])
     if isinstance(choice, SingularSystemError):
         raise choice
-    return _full_grid_spectrum(pl, state, grid, choice[0], strict)[0]
+    return _full_grid_spectrum(pl, state, grid, choice, strict)[0]

@@ -114,11 +114,11 @@ def _row_task(args):
     The warnings are (category, message) pairs, so that rows run in a
     pool lose none.
     """
-    idx, pl, state, grid, cutoff, strict = args
+    idx, pl, state, grid, choice, strict = args
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            spec, cutoff = floquet._full_grid_spectrum(pl, state, grid, cutoff, strict)
+            spec, cutoff = floquet._full_grid_spectrum(pl, state, grid, choice, strict)
             row = idx, spec.intensity, spec.elastic_weight, cutoff, None
         except BifluorError as exc:  # a numerical failure of this row only
             row = idx, np.nan, np.nan, 0, _row_error(exc)
@@ -176,7 +176,7 @@ def detuning_map(
     sub_nu = TWO_PI * (grid - strong.detuning)[floquet._subsample(grid.size)]
     chosen = dict(zip(rows, floquet._resolvent_cutoffs(list(rows.values()), sub_nu)))
     errors.update((i, c) for i, c in chosen.items() if isinstance(c, BifluorError))
-    tasks = [(i, *rows[i], grid, chosen[i][0], strict) for i in rows if i not in errors]
+    tasks = [(i, *rows[i], grid, chosen[i], strict) for i in rows if i not in errors]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -30,7 +30,7 @@ from bifluor.floquet import (
     emission_spectrum,
     periodic_steady_state,
 )
-from bifluor.scans import degenerate_spectrum, subharmonic_axis
+from bifluor.scans import degenerate_spectrum, detuning_map, subharmonic_axis
 
 # weight of the incoherent spectrum inside +-0.5 GHz of the drive, frozen
 # from the time-propagation oracle on the +-9 GHz, 0.01 GHz grid
@@ -163,13 +163,17 @@ WIDE_GRID = np.round(np.arange(-1200, 1201) * 0.01, 2)  # the small_delta grid
 
 @pytest.fixture()
 def resolvent_calls(monkeypatch):
-    """Every _sambe_resolvent call made during the test, as (pl, nu, cutoff)."""
+    """Every spectrum _sambe_resolvent call made during the test, as (pl, nu, cutoff).
+
+    The steady state's calls, those with ``harmonics``, are not listed.
+    """
     calls = []
     solve = floquet._sambe_resolvent
 
-    def spy(pl, seed, nu, cutoff, delta=None):
-        calls.append((pl, nu, cutoff))
-        return solve(pl, seed, nu, cutoff, delta)
+    def spy(pl, seed, nu, cutoff, delta=None, harmonics=False):
+        if not harmonics:
+            calls.append((pl, nu, cutoff))
+        return solve(pl, seed, nu, cutoff, delta, harmonics)
 
     monkeypatch.setattr(floquet, "_sambe_resolvent", spy)
     return calls
@@ -206,6 +210,25 @@ def test_one_full_grid_pass_at_the_smallest_passing_cutoff(
     assert cutoff > start
     assert gate_residual(pl, nu, cutoff) <= 1e-8
     assert gate_residual(pl, nu, cutoff // 2) > 1e-8
+
+
+@pytest.mark.parametrize("case", ["spectrum", "map_row"])
+def test_a_small_grid_is_solved_once_per_cutoff(emitter, strong, drive, resolvent_calls, case):
+    # a grid of at most SUBSAMPLE points is its own subsample: the doubling's
+    # last solve is the spectrum, not solved again in a full-grid pass
+    grid = np.linspace(-9.0, 9.0, 41)
+    if case == "spectrum":
+        pl, state = steady(emitter, drive)
+        spec = emission_spectrum(pl, state, grid)
+    else:
+        delta2 = np.array([drive.weak.detuning + 2.0 * strong.rabi])
+        spec = detuning_map(emitter, strong, drive.weak.rabi, delta2, grid)
+        assert spec.failures == () and list(spec.cutoffs) == [16]
+    assert [k for _pl, nu, k in resolvent_calls if nu.size == grid.size] == [8, 16]
+    if case == "map_row":
+        pl, state = steady(emitter, drive)
+        ref = emission_spectrum(pl, state, grid)
+        assert np.array_equal(spec.intensity[0], ref.intensity)
 
 
 def test_the_full_grid_gate_decides(emitter, strong, resolvent_calls, monkeypatch):
@@ -300,8 +323,11 @@ def test_the_couplings_have_the_sparsity_the_sweep_uses(times, params, phase):
     st.floats(0.1, 6.2),  # relative phase != 0
     st.sampled_from([1, 2, 16]),
     st.integers(0, 2**32 - 1),
+    st.booleans(),
 )
-def test_resolvent_matches_a_dense_solve(times, rabi, d1, weak_rabi, beat, phase, cutoff, key):
+def test_resolvent_matches_a_dense_solve(
+    times, rabi, d1, weak_rabi, beat, phase, cutoff, key, harmonics
+):
     em = EmitterParams(*times)
     pl = build_periodic_liouvillian(em, random_drive(rabi, d1, weak_rabi, beat, phase))
     parts = generator_parts(*times, rabi, d1, weak_rabi, d1 + beat, phase)
@@ -312,10 +338,15 @@ def test_resolvent_matches_a_dense_solve(times, rabi, d1, weak_rabi, beat, phase
     full = rng.standard_normal((orders.size, 3)) + 1j * rng.standard_normal((orders.size, 3))
     # a seed on one half only makes that half's edge harmonic the larger one
     for seed in (full, full * (orders <= 0), full * (orders >= 0)):
-        x0, edge = floquet._sambe_resolvent(pl, seed, nu, cutoff)
         eg, ge, ee = seed.T  # row-major (gg, ge, eg, ee), gg = -ee
         dense = sambe_dense_solve(*parts, np.stack([-ee, ge, eg, ee], axis=1), nu)
         ref = dense[:, :, [2, 1, 3]]  # (eg, ge, ee) of every harmonic
+        if harmonics:  # every x_k, back-substituted outward from x_0
+            xs = floquet._sambe_resolvent(pl, seed, nu, cutoff, harmonics=True)
+            assert xs.shape == (orders.size, 3, nu.size)
+            assert np.abs(xs.transpose(2, 0, 1) - ref).max() <= 1e-12 * np.abs(ref).max()
+            continue
+        x0, edge = floquet._sambe_resolvent(pl, seed, nu, cutoff)
         scale = np.abs(ref[:, cutoff]).max()
         assert np.abs(x0.T - ref[:, cutoff]).max() <= 1e-12 * scale
         norms = np.linalg.norm(ref, axis=2)

@@ -88,9 +88,9 @@ class TestDetuningMap:
         calls = []
         solve = floquet._sambe_resolvent
 
-        def spy(pl, seed, nu, cutoff, delta=None):
+        def spy(pl, seed, nu, cutoff, delta=None, harmonics=False):
             calls.append((nu.size, cutoff))
-            return solve(pl, seed, nu, cutoff, delta)
+            return solve(pl, seed, nu, cutoff, delta, harmonics)
 
         monkeypatch.setattr(floquet, "_sambe_resolvent", spy)
         rows = zip(MAP_AXIS, result.intensity, result.elastic_weight, result.cutoffs)
@@ -117,11 +117,11 @@ class TestDetuningMap:
 
             def singular_on_one_beat(pl, cutoff, delta=None):
                 if np.any(np.asarray(delta) == bad_beat):
-                    raise np.linalg.LinAlgError("Singular matrix")
+                    raise SingularSystemError("resolvent solve hit a singular block")
                 return solve(pl, cutoff, delta)
 
             monkeypatch.setattr(floquet, "_solve_balance", singular_on_one_beat)
-            error = "SingularSystemError"
+            error = "SingularSystemError: harmonic balance"
         result = detuning_map(emitter, strong, 0.87, axis, MAP_GRID, workers=workers)
         assert [d2 for d2, _msg in result.failures] == [axis[2]]
         assert error in result.failures[0][1]
@@ -366,15 +366,16 @@ class TestEtalonOrderSum:
         bad_beat = 2.0 * np.pi * axis[2]
         solve = floquet._sambe_resolvent
 
-        def singular_on_one_beat(pl, seed, nu, cutoff, delta=None):
-            if np.any(np.asarray(delta) == bad_beat):
+        def singular_on_one_beat(pl, seed, nu, cutoff, delta=None, harmonics=False):
+            # the spectrum resolvent only: with harmonics the sweep is the steady state
+            if not harmonics and np.any(np.asarray(delta) == bad_beat):
                 raise SingularSystemError("resolvent solve hit a singular block")
-            return solve(pl, seed, nu, cutoff, delta)
+            return solve(pl, seed, nu, cutoff, delta, harmonics)
 
         monkeypatch.setattr(floquet, "_sambe_resolvent", singular_on_one_beat)
         scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
         assert [d3 for d3, _msg in scan.failures] == [axis[2]]
-        assert "SingularSystemError" in scan.failures[0][1]
+        assert "SingularSystemError: resolvent" in scan.failures[0][1]
         assert np.isnan(scan.intensity[2]) and scan.cutoffs[2] == 0
         keep = np.arange(axis.size) != 2
         assert np.array_equal(scan.intensity[keep], base.intensity[keep])
@@ -387,13 +388,13 @@ class TestEtalonOrderSum:
 
         def singular_on_one_beat(pl, cutoff, delta=None):
             if np.any(np.asarray(delta) == bad_beat):
-                raise np.linalg.LinAlgError("Singular matrix")
+                raise SingularSystemError("resolvent solve hit a singular block")
             return solve(pl, cutoff, delta)
 
         monkeypatch.setattr(floquet, "_solve_balance", singular_on_one_beat)
         scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
         assert [d3 for d3, _msg in scan.failures] == [axis[2]]
-        assert "SingularSystemError" in scan.failures[0][1]
+        assert "SingularSystemError: harmonic balance" in scan.failures[0][1]
         keep = np.arange(axis.size) != 2
         assert np.array_equal(scan.intensity[keep], base.intensity[keep])
         assert np.array_equal(scan.cutoffs[keep], base.cutoffs[keep])
@@ -521,6 +522,13 @@ def test_the_cutoff_policy_lives_in_floquet():
         "CUTOFF_CEILING",
     }
     assert names.isdisjoint(policy)
+
+
+def test_floquet_has_one_block_elimination():
+    # the steady state is the Sambe sweep at nu = 0, so no dense solve is left
+    tree = ast.parse(inspect.getsource(floquet))
+    calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert not [call for call in calls if "linalg.solve" in call]
 
 
 def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
