@@ -72,12 +72,15 @@ class Spectrum:
     state population).  Elastic (delta-function) components are kept
     out of ``intensity`` and reported as ``elastic_lines``, a tuple of
     (frequency, weight) pairs; ``elastic_weight`` is their sum.
+    ``resolvent_cutoff`` is the harmonic cutoff at which the Sambe
+    resolvent was accepted, 0 for a spectrum solved without one.
     """
 
     freq: np.ndarray
     intensity: np.ndarray
     elastic_weight: float
     elastic_lines: tuple = ()
+    resolvent_cutoff: int = 0
 
     def __post_init__(self):
         freq = np.asarray(self.freq, dtype=float)

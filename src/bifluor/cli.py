@@ -121,7 +121,10 @@ def _cmd_spectrum(args, cfg: ConfigFile):
         f"wrote spectrum.csv ({grid.size} points) and lines.csv "
         f"(9 lines, daughter separation {lines.daughter_separation():.4g} GHz)"
     )
-    return {"steady_state_cutoff": state.cutoff}
+    return {
+        "steady_state_cutoff": state.cutoff,
+        "diag.max_resolvent_cutoff": spec.resolvent_cutoff,
+    }
 
 
 def _cmd_map(args, cfg: ConfigFile):
@@ -229,7 +232,7 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     cfg.raise_on_unused()
     spec = degenerate_spectrum(emitter, strong, alpha, grid, method=method, strict=args.strict)
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)
-    extra = {"method": method}
+    extra = {"method": method, "diag.max_resolvent_cutoff": spec.resolvent_cutoff}
     try:
         lo, hi = plateau_edges(spec.freq, spec.intensity, strong.rabi, alpha, strong.detuning)
         extra.update(plateau_low_ghz=lo, plateau_high_ghz=hi)

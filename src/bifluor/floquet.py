@@ -46,11 +46,17 @@ coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
 so every block is an arrow around x_ee, eliminated entry by entry on
 (2, n) arrays.  A cutoff is accepted when both edge harmonics
 are within EDGE_TOL of the largest x_0 on the grid: the steady state
-and the spectrum share that one tolerance.  One doubling loop,
+and the spectrum share that one tolerance.  One ladder loop,
 _resolvent_cutoffs, makes every such choice.  Rows that share a
 Liouvillian and differ in the beat only, as a scan's rows do, choose
 their cutoffs together, those pending at one cutoff in one sweep; a
-single spectrum is its one-row case.
+single spectrum is its one-row case.  Where a full-grid pass follows
+the choice (a spectrum or map row on more than SUBSAMPLE points) the
+ladder climbs by 1.5x, since that pass costs far more than the
+subsample's rungs and 2x would overshoot the cutoff it needs; where
+the choosing solve is itself the result (the etalon rows of a scan, a
+grid no larger than the subsample) it doubles, since there each rung
+is a solve of its own.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -538,15 +544,24 @@ def _batched_resolvent(rows, idx, nu, cutoff):
     return [(i, (x0[:, r], edge[r])) for r, i in enumerate(idx)]
 
 
-def _resolvent_cutoffs(rows, nu, starts=None) -> list:
+def _next_cutoff(cutoff: int, full_pass: bool) -> int:
+    """The next, larger rung of the resolvent ladder, at most CUTOFF_CEILING.
+
+    1.5x where a full-grid pass follows the choice, else 2x (module docstring).
+    """
+    step = cutoff // 2 if full_pass else cutoff
+    return min(cutoff + max(step, 1), CUTOFF_CEILING)
+
+
+def _resolvent_cutoffs(rows, nu, starts=None, full_pass=False) -> list:
     """Resolvent cutoff and x_0 at ``nu`` of rows as in _batched_resolvent.
 
     A row starts at its entry of ``starts``, by default its steady-state
-    cutoff (0 without a weak field), and doubles until its edge harmonics
-    are within EDGE_TOL of its own largest x_0, or until CUTOFF_CEILING;
-    the rows pending at the smallest cutoff share one sweep.  Returns per
-    row (cutoff, x0, the TruncationError of an unconverged ceiling or
-    None), or its SingularSystemError.
+    cutoff (0 without a weak field), and climbs the ladder of _next_cutoff
+    until its edge harmonics are within EDGE_TOL of its own largest x_0,
+    or until CUTOFF_CEILING; the rows pending at the smallest cutoff share
+    one sweep.  Returns per row (cutoff, x0, the TruncationError of an
+    unconverged ceiling or None), or its SingularSystemError.
     """
     if starts is None:
         starts = [min(st.cutoff, CUTOFF_CEILING) if pl.lp.any() else 0 for pl, st in rows]
@@ -560,7 +575,7 @@ def _resolvent_cutoffs(rows, nu, starts=None) -> list:
             else:
                 resid = float(_edge_residual(*result).max())
                 if resid > EDGE_TOL and cutoff < CUTOFF_CEILING:
-                    pending[i] = min(2 * cutoff, CUTOFF_CEILING)
+                    pending[i] = _next_cutoff(cutoff, full_pass)
                     continue
                 truncation = _truncation(cutoff, resid) if resid > EDGE_TOL else None
                 out[i] = cutoff, result[0], truncation
@@ -571,6 +586,17 @@ def _resolvent_cutoffs(rows, nu, starts=None) -> list:
 def _subsample(size: int) -> np.ndarray:
     """Indices of SUBSAMPLE evenly spread points of a grid of ``size`` points."""
     return np.unique(np.linspace(0, size - 1, SUBSAMPLE).round().astype(int))
+
+
+def _subsample_cutoffs(rows, grid: np.ndarray, detuning: float) -> list:
+    """_resolvent_cutoffs of ``rows`` on the subsample of ``grid`` (GHz).
+
+    ``detuning`` is the strong drive's, the origin of the resolvent's
+    frequencies.  Unless the subsample is the whole grid, a full-grid pass
+    follows each choice (_full_grid_spectrum), so the ladder climbs by 1.5x.
+    """
+    nu = TWO_PI * (grid - detuning)[_subsample(grid.size)]
+    return _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
 
 
 def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
@@ -592,13 +618,13 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
 
 
 def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
-    """The spectrum and its accepted cutoff, from the choice made on the subsample.
+    """The spectrum at its accepted cutoff, from the choice made on the subsample.
 
     ``choice`` is _resolvent_cutoffs' (cutoff, x0, truncation) there.
     Unless the subsample is the whole grid, the whole grid is the gate:
     while it fails, the points where its edge residual and x_0 peak join
-    the subsample, and the cutoff is chosen again there from its double.
-    The ceiling is handled as in emission_spectrum.
+    the subsample, and the cutoff is chosen again there from the next
+    rung of the 1.5x ladder.  The ceiling is handled as in emission_spectrum.
     """
     d1 = pl.drive.strong.detuning
     nu = TWO_PI * (grid - d1)
@@ -612,7 +638,8 @@ def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
         if truncation is None or cutoff >= CUTOFF_CEILING:
             break
         sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])
-        (choice,) = _resolvent_cutoffs([(pl, state)], nu[sub], [2 * cutoff])
+        start = [_next_cutoff(cutoff, True)]
+        (choice,) = _resolvent_cutoffs([(pl, state)], nu[sub], start, full_pass=True)
         if isinstance(choice, SingularSystemError):
             raise choice
         cutoff, x0, truncation = choice
@@ -630,13 +657,13 @@ def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
         for m, wt in zip(orders, weights)
         if wt > 0.0
     )
-    spectrum = Spectrum(
+    return Spectrum(
         freq=grid,
         intensity=intensity,
         elastic_weight=float(weights.sum()),
         elastic_lines=tuple(lines),
+        resolvent_cutoff=cutoff,
     )
-    return spectrum, cutoff
 
 
 def emission_spectrum(
@@ -649,22 +676,25 @@ def emission_spectrum(
 
     Solves the Laplace-domain correlation in harmonic (Sambe) space at
     every grid frequency at once (see the module docstring).  The
-    harmonic cutoff starts at ``state.cutoff`` and doubles until both
+    harmonic cutoff starts at ``state.cutoff`` and climbs until both
     edge harmonics fall below EDGE_TOL of the largest x_0: first on
     SUBSAMPLE grid points, as the one-row case of _resolvent_cutoffs,
     then on the whole grid, solved once at the cutoff so chosen and
-    again at doubled cutoffs while it fails; at CUTOFF_CEILING without
-    convergence a TruncationWarning is issued (a TruncationError under
-    ``strict``) and the ceiling result is returned.  The elastic
-    lines are |<sigma->_m|^2 at Delta1 - m delta for every steady-state
-    harmonic m.  The grid must cover Delta1 +- (the larger of the Mollow
-    sideband offset sqrt((2 Omega)^2 + Delta1^2) and the beat |delta|,
-    plus 2 G and three linewidths); otherwise a CoverageError is raised.
+    again at higher rungs while it fails.  A grid larger than the
+    subsample climbs by 1.5x, so that its full-grid pass overshoots
+    less; a smaller one is its own subsample and doubles.  At
+    CUTOFF_CEILING without convergence a TruncationWarning is issued
+    (a TruncationError under ``strict``) and the ceiling result is
+    returned.  The accepted cutoff is the result's ``resolvent_cutoff``.
+    The elastic lines are |<sigma->_m|^2 at Delta1 - m delta for every
+    steady-state harmonic m.  The grid must cover Delta1 +- (the larger
+    of the Mollow sideband offset sqrt((2 Omega)^2 + Delta1^2) and the
+    beat |delta|, plus 2 G and three linewidths); otherwise a
+    CoverageError is raised.
     """
     grid = np.asarray(grid, dtype=float)
     _check_coverage(pl, grid)
-    nu = TWO_PI * (grid - pl.drive.strong.detuning)
-    (choice,) = _resolvent_cutoffs([(pl, state)], nu[_subsample(grid.size)])
+    (choice,) = _subsample_cutoffs([(pl, state)], grid, pl.drive.strong.detuning)
     if isinstance(choice, SingularSystemError):
         raise choice
-    return _full_grid_spectrum(pl, state, grid, choice, strict)[0]
+    return _full_grid_spectrum(pl, state, grid, choice, strict)

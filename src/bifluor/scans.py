@@ -118,8 +118,8 @@ def _row_task(args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            spec, cutoff = floquet._full_grid_spectrum(pl, state, grid, choice, strict)
-            row = idx, spec.intensity, spec.elastic_weight, cutoff, None
+            spec = floquet._full_grid_spectrum(pl, state, grid, choice, strict)
+            row = idx, spec.intensity, spec.elastic_weight, spec.resolvent_cutoff, None
         except BifluorError as exc:  # a numerical failure of this row only
             row = idx, np.nan, np.nan, 0, _row_error(exc)
     return *row, [(w.category, str(w.message)) for w in caught]
@@ -173,8 +173,8 @@ def detuning_map(
         raise ValidationError("workers must be at least 1")
     detunings = delta2_values - 2.0 * strong.rabi
     rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
-    sub_nu = TWO_PI * (grid - strong.detuning)[floquet._subsample(grid.size)]
-    chosen = dict(zip(rows, floquet._resolvent_cutoffs(list(rows.values()), sub_nu)))
+    choices = floquet._subsample_cutoffs(list(rows.values()), grid, strong.detuning)
+    chosen = dict(zip(rows, choices))
     errors.update((i, c) for i, c in chosen.items() if isinstance(c, BifluorError))
     tasks = [(i, *rows[i], grid, chosen[i], strict) for i in rows if i not in errors]
     if workers > 1:

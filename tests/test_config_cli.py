@@ -378,6 +378,7 @@ class TestCli:
         assert freq.size == 181
         rows = (out / "lines.csv").read_text().splitlines()
         assert len(rows) == 10
+        assert "\ndiag.max_resolvent_cutoff=12\n" in (out / "metadata.txt").read_text()
         assert "daughter separation 3.48" in capsys.readouterr().out
 
     def test_map_with_detuning_fit(self, tmp_path, capsys):
@@ -392,7 +393,7 @@ class TestCli:
         assert len(curve_rows) == 6
         meta = (out / "metadata.txt").read_text()
         assert "n_failures=0" in meta
-        assert "\ndiag.max_resolvent_cutoff=16\n" in meta
+        assert "\ndiag.max_resolvent_cutoff=12\n" in meta
         assert "fit_delta1_ghz=" in meta
         assert "\nstrict=False\nworkers=1\n" in meta
         assert "fitted strong detuning" in capsys.readouterr().out
@@ -465,6 +466,7 @@ grid_step_ghz = 0.02
         assert freq.size == 1201
         meta = (out / "metadata.txt").read_text()
         assert "method=phase_average" in meta
+        assert "\ndiag.max_resolvent_cutoff=0\n" in meta  # a Bloch average, no resolvent
         assert "plateau_high_ghz=" in meta
         assert "upper plateau" in capsys.readouterr().out
 
@@ -810,7 +812,7 @@ grid_step_ghz = 0.02
     # keys each subcommand writes into metadata.txt whose values are numbers
     METADATA_NUMBERS = {
         "mollow": ("n_warnings",),
-        "spectrum": ("steady_state_cutoff", "n_warnings"),
+        "spectrum": ("steady_state_cutoff", "diag.max_resolvent_cutoff", "n_warnings"),
         "map": (
             "workers",
             "n_failures",
@@ -826,7 +828,12 @@ grid_step_ghz = 0.02
             "diag.max_tail_fraction",
             "n_warnings",
         ),
-        "degenerate": ("plateau_low_ghz", "plateau_high_ghz", "n_warnings"),
+        "degenerate": (
+            "diag.max_resolvent_cutoff",
+            "plateau_low_ghz",
+            "plateau_high_ghz",
+            "n_warnings",
+        ),
         "fit": (
             "rabi2_ghz",
             "t2_ps",

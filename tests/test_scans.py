@@ -506,7 +506,8 @@ class TestDegenerate:
 
 
 def test_the_cutoff_policy_lives_in_floquet():
-    # scans hand their rows to floquet's one doubling loop; they name none of its parts
+    # scans hand their rows to floquet's one ladder loop; they name none of its parts,
+    # nor the subsample whose size picks the ladder's step
     tree = ast.parse(inspect.getsource(scans))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -520,6 +521,9 @@ def test_the_cutoff_policy_lives_in_floquet():
         "_sambe_resolvent",
         "EDGE_TOL",
         "CUTOFF_CEILING",
+        "SUBSAMPLE",
+        "_subsample",
+        "_next_cutoff",
     }
     assert names.isdisjoint(policy)
 
