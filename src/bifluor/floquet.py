@@ -18,8 +18,8 @@ parts x_k = rho_k - |g><g| delta_k0 in coordinates (x_eg, x_ge, x_ee):
 |g><g| moves to the right-hand side of rows k = 0, +-1.  Negated, that
 is the resolvent below at nu = 0, seeded with the generator on |g><g|:
 one sweep, a matrix continued fraction (Risken, The Fokker-Planck
-Equation, ch. 9), solves both.  The cutoff doubles until the edge
-harmonics fall below EDGE_TOL of rho_0.
+Equation, ch. 9), solves both.  The cutoff climbs the ladder below,
+doubling from 8, until the edge harmonics fall below EDGE_TOL of rho_0.
 
 The emission spectrum needs the beat-phase average of the two-time
 correlation <sigma+(t0+tau) sigma-(t0)>.  Expanded in harmonics of the
@@ -46,17 +46,19 @@ coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
 so every block is an arrow around x_ee, eliminated entry by entry on
 (2, n) arrays.  A cutoff is accepted when both edge harmonics
 are within EDGE_TOL of the largest x_0 on the grid: the steady state
-and the spectrum share that one tolerance.  One ladder loop,
-_resolvent_cutoffs, makes every such choice.  Rows that share a
-Liouvillian and differ in the beat only, as a scan's rows do, choose
-their cutoffs together, those pending at one cutoff in one sweep; a
-single spectrum is its one-row case.  Where a full-grid pass follows
-the choice (a spectrum or map row on more than SUBSAMPLE points) the
-ladder climbs by 1.5x, since that pass costs far more than the
-subsample's rungs and 2x would overshoot the cutoff it needs; where
-the choosing solve is itself the result (the etalon rows of a scan, a
-grid no larger than the subsample) it doubles, since there each rung
-is a solve of its own.
+and the spectrum share that one tolerance.  One ladder loop, _ladder,
+makes every such choice, for the steady state, the subsample and the
+whole grid.  Rows that share a Liouvillian and differ in the beat only,
+as a scan's rows do, climb it together, those pending at one cutoff in
+one sweep, and a singular row fails alone; a single spectrum is the
+one-row case.  Where a full-grid pass follows the choice (a spectrum or
+map row on more than SUBSAMPLE points) the ladder climbs by 1.5x, since
+that pass costs far more than the subsample's rungs and 2x would
+overshoot the cutoff it needs, and the whole grid climbs on from the
+subsample's choice until it passes too; where the choosing solve is
+itself the result (the steady state, the etalon rows of a scan, a grid
+no larger than the subsample) it doubles, since there each rung is a
+solve of its own.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -88,7 +90,6 @@ __all__ = [
     "build_periodic_liouvillian",
     "periodic_steady_state",
     "emission_spectrum",
-    "half_fourier",
 ]
 
 # basis order (g, e)
@@ -261,32 +262,27 @@ def _solve_balance(pl: PeriodicLiouvillian, cutoff: int, delta=None) -> np.ndarr
 def _steady_states(pls) -> list:
     """Periodic steady states of drives that differ in the beat only.
 
-    Pending drives share one cutoff, doubled from 8 under the EDGE_TOL
-    gate, so each round is one batched _solve_balance.  Returns each
-    drive's PeriodicState, or its TruncationError at _STEADY_CEILING or
-    its SingularSystemError when solved alone.
+    The drives climb _ladder from cutoff 8, doubling up to _STEADY_CEILING,
+    each judged by its edge harmonics against its own ||rho_0||; the drives
+    pending at one cutoff share one batched _solve_balance.  Returns each
+    drive's PeriodicState, or its TruncationError at _STEADY_CEILING or its
+    SingularSystemError.
     """
-    out, pending, k = [None] * len(pls), list(range(len(pls))), 8
-    while pending:
-        try:
-            harm = _solve_balance(pls[0], k, np.array([pls[i].delta for i in pending]))
-        except SingularSystemError as exc:
-            if len(pls) == 1:
-                return [SingularSystemError(f"harmonic balance solve failed: {exc}")]
-            for i in pending:
-                out[i] = _steady_states([pls[i]])[0]
-            break
+    beats = np.array([pl.delta for pl in pls])
+
+    def solve(idx, k):
+        harm = _solve_balance(pls[0], k, beats[idx])
         ref, edge = np.linalg.norm(harm[k], axis=0), np.linalg.norm(harm[[0, -1]], axis=1).max(0)
-        for j, i in enumerate(pending):
-            if edge[j] <= EDGE_TOL * ref[j]:
-                out[i] = PeriodicState(harmonics=harm[..., j].copy(), cutoff=k, delta=pls[i].delta)
-            elif k >= _STEADY_CEILING:
-                e, r = edge[j], ref[j]
-                msg = f"harmonic balance not converged at cutoff {k}: edge harmonic {e:.3e}"
-                out[i] = TruncationError(f"{msg} vs rho_0 {r:.3e}", residual=float(e / r))
-        pending = [i for i in pending if out[i] is None]
-        k = min(2 * k, _STEADY_CEILING)
-    return out
+        return zip(np.moveaxis(harm, -1, 0), (edge / ref).tolist())
+
+    rows = _ladder(solve, [8] * len(pls), _STEADY_CEILING, "harmonic balance")
+    states = []
+    for pl, row in zip(pls, rows):
+        if not isinstance(row, SingularSystemError):
+            k, harm, truncation = row
+            row = truncation or PeriodicState(harmonics=harm.copy(), cutoff=k, delta=pl.delta)
+        states.append(row)
+    return states
 
 
 def periodic_steady_state(pl: PeriodicLiouvillian) -> PeriodicState:
@@ -344,7 +340,9 @@ def half_fourier(tau: np.ndarray, values: np.ndarray, nu: np.ndarray) -> np.ndar
 
     ``tau`` must be uniform with an odd number of points (an even
     number of panels).  Evaluated per frequency with oscillation-exact
-    panel weights; complex result.  Not used by emission_spectrum.
+    panel weights; complex result.  Not used by emission_spectrum, and
+    kept only because bench/layers.py wraps it, until the benchmark drops
+    its floquet.half_fourier.s metric.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -511,13 +509,50 @@ def _edge_residual(x0: np.ndarray, edge: np.ndarray) -> np.ndarray:
     return edge / max(np.linalg.norm(x0, axis=0).max(), 1e-300)
 
 
-def _truncation(cutoff: int, resid: float) -> TruncationError:
-    """The error of a resolvent that reached CUTOFF_CEILING unconverged."""
+def _truncation(what: str, cutoff: int, resid: float) -> TruncationError:
+    """The error of a ``what`` solve that reached its ceiling unconverged."""
     return TruncationError(
-        f"resolvent not converged at harmonic cutoff {cutoff}: "
+        f"{what} not converged at harmonic cutoff {cutoff}: "
         f"edge harmonic {resid:.3e} of the central one",
         residual=resid,
     )
+
+
+def _ladder(solve, starts, ceiling: int, what: str, fine: bool = False) -> list:
+    """The one cutoff ladder: per row (cutoff, value, truncation), or its error.
+
+    ``solve(idx, cutoff)`` solves the rows ``idx`` at one cutoff in one
+    batch and returns each row's (value, edge residual).  A row starts at
+    its entry of ``starts`` and climbs, doubling or, if ``fine``, by 1.5x
+    (module docstring), until its residual is within EDGE_TOL or it reaches
+    ``ceiling``; there it keeps its value, with the TruncationError of the
+    ``what`` solve if unconverged.  The rows pending at the smallest cutoff
+    share one solve.  A batch that hits a singular block is solved again
+    row by row at that cutoff, so only a singular row fails, with a
+    SingularSystemError.
+    """
+    out, pending = [None] * len(starts), dict(enumerate(starts))
+    while pending:
+        cutoff = min(pending.values())
+        batches = [[i for i, k in pending.items() if k == cutoff]]
+        for idx in batches:  # a singular batch appends its rows, one per batch
+            try:
+                solved = solve(idx, cutoff)
+            except SingularSystemError as exc:
+                if len(idx) > 1:
+                    batches += [[i] for i in idx]
+                else:
+                    out[idx[0]] = SingularSystemError(f"{what} solve failed: {exc}")
+                    del pending[idx[0]]
+                continue
+            for i, (value, resid) in zip(idx, solved):
+                if resid > EDGE_TOL and cutoff < ceiling:
+                    pending[i] = min(cutoff + max(cutoff // 2 if fine else cutoff, 1), ceiling)
+                    continue
+                truncation = _truncation(what, cutoff, resid) if resid > EDGE_TOL else None
+                out[i] = cutoff, value, truncation
+                del pending[i]
+    return out
 
 
 def _batched_resolvent(rows, idx, nu, cutoff):
@@ -525,77 +560,49 @@ def _batched_resolvent(rows, idx, nu, cutoff):
 
     The (PeriodicLiouvillian, PeriodicState) ``rows`` share l0, lp and
     lm, so they are laid out on one axis with a beat and a seed per
-    element.  Returns (row, (x0, edge)) pairs, or (row, error) for a row
-    whose blocks are singular: a batch that hits one is solved again row
-    by row, so only that row fails.
+    element.  Returns (row, (x0, edge)) pairs; a singular block raises
+    SingularSystemError for the whole batch.
     """
     pls, states = zip(*(rows[i] for i in idx))
     seed = np.stack([_incoherent_seed(st, cutoff) for st in states], axis=2)
-    if len(idx) > 1:  # one row's seed broadcasts over nu
+    beats = np.array([pl.delta for pl in pls])
+    if len(idx) > 1:  # one row's seed and beat broadcast over nu
         seed = np.repeat(seed, nu.size, axis=2)
-    beats = np.repeat([pl.delta for pl in pls], nu.size)
-    try:
-        x0, edge = _sambe_resolvent(pls[0], seed, np.tile(nu, len(idx)), cutoff, beats)
-    except SingularSystemError as exc:
-        if len(idx) == 1:
-            return [(idx[0], exc)]
-        return [pair for i in idx for pair in _batched_resolvent(rows, [i], nu, cutoff)]
+        beats = np.repeat(beats, nu.size)
+    x0, edge = _sambe_resolvent(pls[0], seed, np.tile(nu, len(idx)), cutoff, beats)
     x0, edge = x0.reshape(3, len(idx), nu.size), edge.reshape(len(idx), nu.size)
     return [(i, (x0[:, r], edge[r])) for r, i in enumerate(idx)]
-
-
-def _next_cutoff(cutoff: int, full_pass: bool) -> int:
-    """The next, larger rung of the resolvent ladder, at most CUTOFF_CEILING.
-
-    1.5x where a full-grid pass follows the choice, else 2x (module docstring).
-    """
-    step = cutoff // 2 if full_pass else cutoff
-    return min(cutoff + max(step, 1), CUTOFF_CEILING)
 
 
 def _resolvent_cutoffs(rows, nu, starts=None, full_pass=False) -> list:
     """Resolvent cutoff and x_0 at ``nu`` of rows as in _batched_resolvent.
 
-    A row starts at its entry of ``starts``, by default its steady-state
-    cutoff (0 without a weak field), and climbs the ladder of _next_cutoff
-    until its edge harmonics are within EDGE_TOL of its own largest x_0,
-    or until CUTOFF_CEILING; the rows pending at the smallest cutoff share
-    one sweep.  Returns per row (cutoff, x0, the TruncationError of an
-    unconverged ceiling or None), or its SingularSystemError.
+    The rows climb _ladder up to CUTOFF_CEILING, by 1.5x with
+    ``full_pass``, else doubling.  A row starts at its entry of ``starts``,
+    by default its steady-state cutoff (0 without a weak field), and is
+    judged by its edge harmonics against its own largest x_0.  Returns per
+    row (cutoff, x0, the TruncationError of an unconverged ceiling or
+    None), or its SingularSystemError.
     """
     if starts is None:
         starts = [min(st.cutoff, CUTOFF_CEILING) if pl.lp.any() else 0 for pl, st in rows]
-    out, pending = [None] * len(rows), dict(enumerate(starts))
-    while pending:
-        cutoff = min(pending.values())
-        idx = [i for i, k in pending.items() if k == cutoff]
-        for i, result in _batched_resolvent(rows, idx, nu, cutoff):
-            if isinstance(result, SingularSystemError):
-                out[i] = result
-            else:
-                resid = float(_edge_residual(*result).max())
-                if resid > EDGE_TOL and cutoff < CUTOFF_CEILING:
-                    pending[i] = _next_cutoff(cutoff, full_pass)
-                    continue
-                truncation = _truncation(cutoff, resid) if resid > EDGE_TOL else None
-                out[i] = cutoff, result[0], truncation
-            del pending[i]
-    return out
 
+    def solve(idx, cutoff):
+        pairs = _batched_resolvent(rows, idx, nu, cutoff)
+        return [(x0, float(_edge_residual(x0, edge).max())) for _i, (x0, edge) in pairs]
 
-def _subsample(size: int) -> np.ndarray:
-    """Indices of SUBSAMPLE evenly spread points of a grid of ``size`` points."""
-    return np.unique(np.linspace(0, size - 1, SUBSAMPLE).round().astype(int))
+    return _ladder(solve, starts, CUTOFF_CEILING, "resolvent", full_pass)
 
 
 def _subsample_cutoffs(rows, grid: np.ndarray, detuning: float) -> list:
-    """_resolvent_cutoffs of ``rows`` on the subsample of ``grid`` (GHz).
+    """_resolvent_cutoffs of ``rows`` on SUBSAMPLE evenly spread points of ``grid`` (GHz).
 
     ``detuning`` is the strong drive's, the origin of the resolvent's
     frequencies.  Unless the subsample is the whole grid, a full-grid pass
     follows each choice (_full_grid_spectrum), so the ladder climbs by 1.5x.
     """
-    nu = TWO_PI * (grid - detuning)[_subsample(grid.size)]
+    sub = np.unique(np.linspace(0, grid.size - 1, SUBSAMPLE).round().astype(int))
+    nu = TWO_PI * (grid - detuning)[sub]
     return _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
 
 
@@ -621,28 +628,16 @@ def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
     """The spectrum at its accepted cutoff, from the choice made on the subsample.
 
     ``choice`` is _resolvent_cutoffs' (cutoff, x0, truncation) there.
-    Unless the subsample is the whole grid, the whole grid is the gate:
-    while it fails, the points where its edge residual and x_0 peak join
-    the subsample, and the cutoff is chosen again there from the next
-    rung of the 1.5x ladder.  The ceiling is handled as in emission_spectrum.
+    Unless the subsample is the whole grid, the whole grid is the gate: it
+    climbs on from the subsample's cutoff along the same 1.5x ladder.  The
+    ceiling is handled as in emission_spectrum.
     """
     d1 = pl.drive.strong.detuning
-    nu = TWO_PI * (grid - d1)
-    sub = _subsample(grid.size)
-    cutoff, x0, truncation = choice
-    while sub.size < grid.size:
-        x0, edge = _sambe_resolvent(pl, _incoherent_seed(state, cutoff), nu, cutoff)
-        edge = _edge_residual(x0, edge)
-        resid = float(np.max(edge))
-        truncation = _truncation(cutoff, resid) if resid > EDGE_TOL else None
-        if truncation is None or cutoff >= CUTOFF_CEILING:
-            break
-        sub = np.union1d(sub, [np.argmax(edge), np.argmax(np.linalg.norm(x0, axis=0))])
-        start = [_next_cutoff(cutoff, True)]
-        (choice,) = _resolvent_cutoffs([(pl, state)], nu[sub], start, full_pass=True)
+    if grid.size > SUBSAMPLE:
+        (choice,) = _resolvent_cutoffs([(pl, state)], TWO_PI * (grid - d1), [choice[0]], True)
         if isinstance(choice, SingularSystemError):
             raise choice
-        cutoff, x0, truncation = choice
+    cutoff, x0, truncation = choice
     if truncation is not None:
         if strict:
             raise truncation
@@ -679,10 +674,10 @@ def emission_spectrum(
     harmonic cutoff starts at ``state.cutoff`` and climbs until both
     edge harmonics fall below EDGE_TOL of the largest x_0: first on
     SUBSAMPLE grid points, as the one-row case of _resolvent_cutoffs,
-    then on the whole grid, solved once at the cutoff so chosen and
-    again at higher rungs while it fails.  A grid larger than the
-    subsample climbs by 1.5x, so that its full-grid pass overshoots
-    less; a smaller one is its own subsample and doubles.  At
+    then on the whole grid, which climbs on from the cutoff so chosen
+    while it fails.  A grid larger than the subsample climbs by 1.5x,
+    so that its full-grid pass overshoots less; a smaller one is its
+    own subsample and doubles.  At
     CUTOFF_CEILING without convergence a TruncationWarning is issued
     (a TruncationError under ``strict``) and the ceiling result is
     returned.  The accepted cutoff is the result's ``resolvent_cutoff``.

@@ -262,17 +262,31 @@ def test_a_small_grid_is_solved_once_per_cutoff(emitter, strong, drive, resolven
         assert np.array_equal(spec.intensity[0], ref.intensity)
 
 
+def gate_residual(pl, nu, cutoff):
+    """The largest edge norm over the largest norm of x_0 on ``nu``: what EDGE_TOL bounds."""
+    seed = floquet._incoherent_seed(periodic_steady_state(pl), cutoff)
+    x0, edge = floquet._sambe_resolvent(pl, seed, nu, cutoff)
+    return edge.max() / np.linalg.norm(x0, axis=0).max()
+
+
 def test_the_full_grid_gate_decides(emitter, strong, resolvent_calls, monkeypatch):
     # a two-point subsample (the grid ends) picks too small a cutoff; the
-    # full-grid gate then climbs on to the same cutoff and the same bits
+    # whole grid then climbs on from it, one 1.5x rung per failed pass, to
+    # the same cutoff and the same bits, without choosing on a subsample again
     base = small_delta(emitter, strong)
     monkeypatch.setattr(floquet, "SUBSAMPLE", 2)
     resolvent_calls.clear()
     coarse = small_delta(emitter, strong)
-    full = [k for _pl, nu, k in resolvent_calls if nu.size == WIDE_GRID.size]
+    calls = list(resolvent_calls)
+    full = [(pl, nu, k) for pl, nu, k in calls if nu.size == WIDE_GRID.size]
+    cutoffs = [k for _pl, _nu, k in full]
     assert len(full) > 1
-    assert full[-1] == coarse.resolvent_cutoff == base.resolvent_cutoff
+    assert cutoffs[-1] == coarse.resolvent_cutoff == base.resolvent_cutoff
     assert np.array_equal(coarse.intensity, base.intensity)
+    assert all(gate_residual(*call) > 1e-8 for call in full[:-1])
+    assert cutoffs[1:] == [k + k // 2 for k in cutoffs[:-1]]
+    first = [nu.size for _pl, nu, _k in calls].index(WIDE_GRID.size)
+    assert all(nu.size == WIDE_GRID.size for _pl, nu, _k in calls[first:])
 
 
 def test_resolvent_memory_does_not_grow_with_the_cutoff(emitter):

@@ -380,14 +380,22 @@ class TestEtalonOrderSum:
         keep = np.arange(axis.size) != 2
         assert np.array_equal(scan.intensity[keep], base.intensity[keep])
 
-    def test_a_singular_steady_state_fails_its_row_alone(self, emitter, strong, monkeypatch):
+    @pytest.mark.parametrize("singular_from", [8, 16])
+    def test_a_singular_steady_state_fails_its_row_alone(
+        self, emitter, strong, monkeypatch, singular_from
+    ):
+        # the rows' steady states converge at cutoffs 16 and 32, so every row
+        # is pending at 16; a singular batch is solved again row by row at the
+        # rung where it failed, so the rungs are solved in increasing order
         axis = subharmonic_axis(2.9, orders=(5,), points_per_order=6)
         base = subharmonic_scan(emitter, strong, axis, ETALON, orders=(5,))
         bad_beat = 2.0 * np.pi * axis[2]
         solve = floquet._solve_balance
+        rungs = []
 
         def singular_on_one_beat(pl, cutoff, delta=None):
-            if np.any(np.asarray(delta) == bad_beat):
+            rungs.append(cutoff)
+            if cutoff >= singular_from and np.any(np.asarray(delta) == bad_beat):
                 raise SingularSystemError("resolvent solve hit a singular block")
             return solve(pl, cutoff, delta)
 
@@ -398,6 +406,7 @@ class TestEtalonOrderSum:
         keep = np.arange(axis.size) != 2
         assert np.array_equal(scan.intensity[keep], base.intensity[keep])
         assert np.array_equal(scan.cutoffs[keep], base.cutoffs[keep])
+        assert singular_from in rungs and rungs == sorted(rungs)
 
     def test_a_failed_row_records_cutoff_zero(self, emitter, strong):
         # Delta3 = Delta1 has no beat: that row fails, the others do not
@@ -533,6 +542,22 @@ def test_floquet_has_one_block_elimination():
     tree = ast.parse(inspect.getsource(floquet))
     calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert not [call for call in calls if "linalg.solve" in call]
+
+
+def test_floquet_has_one_ladder():
+    # the steady state, the subsample and the full-grid gate climb one loop,
+    # and only that loop's function compares a residual with EDGE_TOL
+    tree = ast.parse(inspect.getsource(floquet))
+    assert sum(isinstance(node, ast.While) for node in ast.walk(tree)) == 1
+    gates = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Name) and n.id == "EDGE_TOL" for n in ast.walk(node))
+    }
+    assert len(gates) == 1
 
 
 def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
