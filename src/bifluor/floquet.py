@@ -44,21 +44,22 @@ one loop: swapping x_eg and x_ge (Pi) makes the k < 0 half an image of
 the k > 0 half, since Pi lm Pi has the zero pattern of lp.  Each
 coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
 so every block is an arrow around x_ee, eliminated entry by entry on
-(2, n) arrays.  A cutoff is accepted when both edge harmonics
-are within EDGE_TOL of the largest x_0 on the grid: the steady state
-and the spectrum share that one tolerance.  One ladder loop, _ladder,
-makes every such choice, for the steady state, the subsample and the
-whole grid.  Rows that share a Liouvillian and differ in the beat only,
-as a scan's rows do, climb it together, those pending at one cutoff in
-one sweep, and a singular row fails alone; a single spectrum is the
-one-row case.  Where a full-grid pass follows the choice (a spectrum or
-map row on more than SUBSAMPLE points) the ladder climbs by 1.5x, since
-that pass costs far more than the subsample's rungs and 2x would
-overshoot the cutoff it needs, and the whole grid climbs on from the
-subsample's choice until it passes too; where the choosing solve is
-itself the result (the steady state, the etalon rows of a scan, a grid
-no larger than the subsample) it doubles, since there each rung is a
-solve of its own.
+(2, n) arrays.  A cutoff is accepted when both edge harmonics are within
+EDGE_TOL of the largest x_0 on the grid: the steady state and the
+spectrum share that one tolerance.  One ladder loop, _ladder, makes
+every such choice, for the steady state, the subsample and the whole
+grid.  Rows that share a Liouvillian and differ in the beat only, as a
+scan's rows do, climb it together, those pending at one cutoff in one
+sweep, and a singular row fails alone.  Where a full-grid pass follows
+the choice (a spectrum or map row on more than SUBSAMPLE points) the
+ladder climbs by 1.5x, since that pass costs far more than the
+subsample's rungs and 2x would overshoot the cutoff it needs, and the
+whole grid climbs on from the subsample's choice until it passes too;
+where the choosing solve is itself the result (the steady state, the
+etalon rows of a scan, a grid no larger than the subsample) it doubles,
+since there each rung is a solve of its own.  A spectrum is the one-row
+case of _spectra, the path of a map's rows, which settles (_accepted)
+the truncations their full-grid passes return as data.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -76,6 +77,7 @@ import numpy as np
 from .bloch import Spectrum
 from .emitter import TWO_PI, BichromaticDrive, EmitterParams
 from .errors import (
+    BifluorError,
     CoverageError,
     DegenerateDriveError,
     SingularSystemError,
@@ -594,18 +596,6 @@ def _resolvent_cutoffs(rows, nu, starts=None, full_pass=False) -> list:
     return _ladder(solve, starts, CUTOFF_CEILING, "resolvent", full_pass)
 
 
-def _subsample_cutoffs(rows, grid: np.ndarray, detuning: float) -> list:
-    """_resolvent_cutoffs of ``rows`` on SUBSAMPLE evenly spread points of ``grid`` (GHz).
-
-    ``detuning`` is the strong drive's, the origin of the resolvent's
-    frequencies.  Unless the subsample is the whole grid, a full-grid pass
-    follows each choice (_full_grid_spectrum), so the ladder climbs by 1.5x.
-    """
-    sub = np.unique(np.linspace(0, grid.size - 1, SUBSAMPLE).round().astype(int))
-    nu = TWO_PI * (grid - detuning)[sub]
-    return _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
-
-
 def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
     """Raise CoverageError unless ``grid`` covers pl's lines (see emission_spectrum)."""
     drive = pl.drive
@@ -624,24 +614,36 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
         )
 
 
-def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
-    """The spectrum at its accepted cutoff, from the choice made on the subsample.
+def _accepted(value, issue, strict: bool):
+    """A row's ``value``, or its error ``issue``: the one place a truncation is settled.
 
-    ``choice`` is _resolvent_cutoffs' (cutoff, x0, truncation) there.
-    Unless the subsample is the whole grid, the whole grid is the gate: it
-    climbs on from the subsample's cutoff along the same 1.5x ladder.  The
-    ceiling is handled as in emission_spectrum.
+    An ``issue`` beside a ``value`` is a truncation: the row's error under
+    ``strict``, else a TruncationWarning while the value stands.
     """
+    if issue is None:
+        return value
+    if value is None or strict:
+        return issue
+    warnings.warn(str(issue), TruncationWarning, stacklevel=2)
+    return value
+
+
+def _full_grid_spectrum(task):
+    """(Spectrum, its TruncationError or None), or (None, error), of one row.
+
+    ``task`` is (pl, state, grid, choice), ``choice`` the row's
+    _resolvent_cutoffs entry on the subsample.  Unless that is the whole
+    grid, the whole grid is the gate: it climbs on from the subsample's
+    cutoff along the same 1.5x ladder.  Neither warns nor raises, so it
+    runs alike in a process pool.
+    """
+    pl, state, grid, choice = task
     d1 = pl.drive.strong.detuning
-    if grid.size > SUBSAMPLE:
+    if grid.size > SUBSAMPLE and not isinstance(choice, Exception):
         (choice,) = _resolvent_cutoffs([(pl, state)], TWO_PI * (grid - d1), [choice[0]], True)
-        if isinstance(choice, SingularSystemError):
-            raise choice
+    if isinstance(choice, Exception):
+        return None, choice
     cutoff, x0, truncation = choice
-    if truncation is not None:
-        if strict:
-            raise truncation
-        warnings.warn(str(truncation), TruncationWarning, stacklevel=3)
     # the ge component, whose trace against sigma+ gives the correlation
     intensity = 2.0 * x0[1].real
     weights = np.abs(state.harmonics[:, 1]) ** 2
@@ -652,13 +654,33 @@ def _full_grid_spectrum(pl, state, grid: np.ndarray, choice, strict: bool):
         for m, wt in zip(orders, weights)
         if wt > 0.0
     )
-    return Spectrum(
-        freq=grid,
-        intensity=intensity,
-        elastic_weight=float(weights.sum()),
-        elastic_lines=tuple(lines),
-        resolvent_cutoff=cutoff,
-    )
+    try:
+        spec = Spectrum(
+            freq=grid,
+            intensity=intensity,
+            elastic_weight=float(weights.sum()),
+            elastic_lines=tuple(lines),
+            resolvent_cutoff=cutoff,
+        )
+    except BifluorError as exc:  # an invalid spectrum fails this row only
+        return None, exc
+    return spec, truncation
+
+
+def _spectra(rows, grid: np.ndarray, detuning: float, strict: bool, mapper=map) -> list:
+    """Spectra of rows as in _batched_resolvent on ``grid`` (GHz): each a Spectrum or its error.
+
+    ``detuning``, the strong drive's, is the origin of the frequencies.
+    The rows choose their cutoffs together on SUBSAMPLE evenly spread
+    points, by 1.5x unless that is the whole grid; ``mapper`` (map, or a
+    process pool's) runs each row's _full_grid_spectrum, and _accepted
+    settles the results in row order.
+    """
+    sub = np.unique(np.linspace(0, grid.size - 1, SUBSAMPLE).round().astype(int))
+    nu = TWO_PI * (grid - detuning)[sub]
+    choices = _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
+    tasks = [(*row, grid, choice) for row, choice in zip(rows, choices)]
+    return [_accepted(*row, strict) for row in mapper(_full_grid_spectrum, tasks)]
 
 
 def emission_spectrum(
@@ -670,16 +692,16 @@ def emission_spectrum(
     """Beat-averaged emission spectrum on ``grid`` (GHz, relative to the transition).
 
     Solves the Laplace-domain correlation in harmonic (Sambe) space at
-    every grid frequency at once (see the module docstring).  The
+    every grid frequency at once (see the module docstring), as the
+    one-row case of _spectra, the path of every map row too.  The
     harmonic cutoff starts at ``state.cutoff`` and climbs until both
     edge harmonics fall below EDGE_TOL of the largest x_0: first on
-    SUBSAMPLE grid points, as the one-row case of _resolvent_cutoffs,
-    then on the whole grid, which climbs on from the cutoff so chosen
-    while it fails.  A grid larger than the subsample climbs by 1.5x,
-    so that its full-grid pass overshoots less; a smaller one is its
-    own subsample and doubles.  At
-    CUTOFF_CEILING without convergence a TruncationWarning is issued
-    (a TruncationError under ``strict``) and the ceiling result is
+    SUBSAMPLE grid points, then on the whole grid, which climbs on from
+    the cutoff so chosen while it fails.  A grid larger than the
+    subsample climbs by 1.5x, so that its full-grid pass overshoots
+    less; a smaller one is its own subsample and doubles.  At
+    CUTOFF_CEILING without convergence a TruncationWarning is issued (a
+    TruncationError under ``strict``) and the ceiling result is
     returned.  The accepted cutoff is the result's ``resolvent_cutoff``.
     The elastic lines are |<sigma->_m|^2 at Delta1 - m delta for every
     steady-state harmonic m.  The grid must cover Delta1 +- (the larger
@@ -689,7 +711,7 @@ def emission_spectrum(
     """
     grid = np.asarray(grid, dtype=float)
     _check_coverage(pl, grid)
-    (choice,) = _subsample_cutoffs([(pl, state)], grid, pl.drive.strong.detuning)
-    if isinstance(choice, SingularSystemError):
-        raise choice
-    return _full_grid_spectrum(pl, state, grid, choice, strict)
+    (spec,) = _spectra([(pl, state)], grid, pl.drive.strong.detuning, strict)
+    if isinstance(spec, Exception):
+        raise spec
+    return spec

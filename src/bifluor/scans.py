@@ -7,15 +7,14 @@ subharmonic dip scan behind an etalon, and the equal-frequency
 relative phase survives.
 
 The rows of both scans share a Liouvillian, so their steady states and
-resolvent cutoffs are solved together in batched sweeps; only the
-map's full-grid passes run in a process pool.  Rows are assembled, and
-their warnings issued, by index, so results are identical for any
-worker count.
+resolvent cutoffs are solved together in batched sweeps.  A map row is
+emission_spectrum's one-row case (floquet._spectra); only its full-grid
+pass may run in a process pool, and it returns its truncation as data,
+settled in row order, so results and warnings do not depend on workers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import bloch, floquet
 from .dressed import _central_weight, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
-from .errors import BifluorError, CoverageError, TruncationWarning, ValidationError
+from .errors import BifluorError, CoverageError, ValidationError
 from .fitting import gauss_newton
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 
@@ -108,23 +107,6 @@ def _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase=0.0, grid=N
     return {i: (pls[i], st) for i, st in states.items() if i not in errors}, errors
 
 
-def _row_task(args):
-    """Full-grid pass of one map row; returns (index, intensity, elastic, cutoff, error, warnings).
-
-    The warnings are (category, message) pairs, so that rows run in a
-    pool lose none.
-    """
-    idx, pl, state, grid, choice, strict = args
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            spec = floquet._full_grid_spectrum(pl, state, grid, choice, strict)
-            row = idx, spec.intensity, spec.elastic_weight, spec.resolvent_cutoff, None
-        except BifluorError as exc:  # a numerical failure of this row only
-            row = idx, np.nan, np.nan, 0, _row_error(exc)
-    return *row, [(w.category, str(w.message)) for w in caught]
-
-
 @dataclass(frozen=True)
 class ScanResult2D:
     """Stack of incoherent spectra over the weak-field axis.
@@ -160,10 +142,10 @@ def detuning_map(
 
     Delta2 = Delta3 + 2 Omega locates the weak field relative to the
     inner dressed transition; each axis point gets a weak field at the
-    corresponding bare detuning.  The rows are prepared together, their
-    steady states and subsample cutoffs in batched solves; workers > 1
-    distributes their full-grid passes over processes, and the result
-    does not depend on the worker count.
+    corresponding bare detuning.  Each row is its emission_spectrum,
+    prepared with the others (floquet._spectra); workers > 1 runs their
+    full-grid passes in a pool of min(workers, rows) processes, since a
+    pool starts all of them at once.  Nothing depends on the worker count.
     """
     delta2_values = np.asarray(delta2_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -173,27 +155,25 @@ def detuning_map(
         raise ValidationError("workers must be at least 1")
     detunings = delta2_values - 2.0 * strong.rabi
     rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
-    choices = floquet._subsample_cutoffs(list(rows.values()), grid, strong.detuning)
-    chosen = dict(zip(rows, choices))
-    errors.update((i, c) for i, c in chosen.items() if isinstance(c, BifluorError))
-    tasks = [(i, *rows[i], grid, chosen[i], strict) for i in rows if i not in errors]
-    if workers > 1:
+    processes = min(workers, len(rows))  # a pool starts all its workers at once
+    args = list(rows.values()), grid, strong.detuning, strict
+    if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_row_task, tasks))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            spectra = floquet._spectra(*args, pool.map)
     else:
-        done = [_row_task(t) for t in tasks]
+        spectra = floquet._spectra(*args)
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
     cutoffs = np.zeros(delta2_values.size, dtype=int)
+    for i, spec in zip(rows, spectra):
+        if isinstance(spec, BifluorError):
+            errors[i] = spec
+            continue
+        intensity[i], elastic[i] = spec.intensity, spec.elastic_weight
+        cutoffs[i] = spec.resolvent_cutoff
     failures = {i: _row_error(exc) for i, exc in errors.items()}
-    for idx, row, ew, cutoff, error, caught in done:
-        for category, message in caught:
-            warnings.warn(message, category, stacklevel=2)
-        intensity[idx], elastic[idx], cutoffs[idx] = row, ew, cutoff
-        if error is not None:
-            failures[idx] = error
     return ScanResult2D(
         delta2=delta2_values,
         freq=grid,
@@ -386,7 +366,7 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     starts at its steady-state cutoff, and rows pending at one cutoff
     share one batched sweep.  A row that reaches the ceiling unconverged
     keeps that result with a TruncationWarning, issued in row order, or
-    fails under ``strict``.
+    fails under ``strict`` (floquet._accepted, as for a spectrum).
 
     Returns the intensity, the accepted cutoffs, the tail fractions and
     the failures as (delta3, message).
@@ -408,18 +388,14 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     rows, errors = _weak_rows(emitter, strong, weak_rabi, delta3_values)
     x0_ge = np.zeros((n_rows, nu.size), dtype=complex)
     cutoffs = np.zeros(n_rows, dtype=int)
-    notes = []
     for i, choice in zip(rows, floquet._resolvent_cutoffs(list(rows.values()), nu)):
+        if not isinstance(choice, BifluorError):
+            choice = floquet._accepted(choice[:2], choice[2], strict)
         if isinstance(choice, BifluorError):
             errors[i] = choice
-            continue
-        cutoff, x0, truncation = choice
-        if truncation is not None and strict:
-            errors[i] = truncation
-            continue
-        if truncation is not None:
-            notes.append(str(truncation))
-        x0_ge[i], cutoffs[i] = x0[1], cutoff
+        else:
+            cutoffs[i], x0 = choice
+            x0_ge[i] = x0[1]
 
     good = [i for i in rows if i not in errors]
     intensity = np.full(n_rows, np.nan)
@@ -429,8 +405,6 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
         total = 2.0 * x0_ge[good].real.sum(axis=1) + tail
         intensity[good] = weight * total
         tail_fraction[good] = np.abs(tail / total)
-    for message in notes:
-        warnings.warn(message, TruncationWarning, stacklevel=3)
     failures = tuple((float(delta3_values[i]), _row_error(errors[i])) for i in sorted(errors))
     return intensity, cutoffs, tail_fraction, failures
 

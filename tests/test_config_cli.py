@@ -607,6 +607,27 @@ grid_step_ghz = 0.02
         assert all("TruncationWarning" in note for note in notes[1])
         assert notes[2] == notes[1]
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched ceiling reaches pool workers only through fork",
+    )
+    def test_map_strict_fails_each_row_for_any_worker_count(self, tmp_path, monkeypatch):
+        # every row needs a harmonic cutoff above 4, so under --strict each
+        # fails, and no finite row is left for a Delta1 fit
+        monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+        cfg = write_cfg(tmp_path, MAP_CFG.replace("fit_delta1 = true\n", ""))
+        failures = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            args = ["map", "--config", cfg, "--out", str(out), "--workers", str(workers)]
+            assert cli.main(args + ["--strict"]) == 0
+            meta = read_keyvalue(out / "metadata.txt")
+            assert meta["n_warnings"] == "0"
+            failures[workers] = [meta[f"failure_{i}"] for i in range(int(meta["n_failures"]))]
+        assert len(failures[1]) == 5
+        assert all("TruncationError" in line for line in failures[1])
+        assert failures[2] == failures[1]
+
     def test_subharmonic_order_zero_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SUBHARMONICS_CFG.replace("orders = 1", "orders = 0"))
         assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

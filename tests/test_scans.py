@@ -1,8 +1,10 @@
 """Detuning maps, subharmonic scans, degenerate driving, etalon filter."""
 
 import ast
+import concurrent.futures
 import inspect
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,13 +106,24 @@ class TestDetuningMap:
         assert np.all(result.cutoffs > 0)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("case", ["zero_beat", "singular_steady_state"])
+    @pytest.mark.parametrize("case", ["zero_beat", "singular_steady_state", "singular_resolvent"])
     def test_a_failed_row_fails_alone(self, emitter, strong, monkeypatch, case, workers):
         base = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
         axis = MAP_AXIS.copy()
         if case == "zero_beat":  # Delta2 = 2 Omega + Delta1 puts the weak field on the strong one
             axis[2] = 2.0 * strong.rabi + strong.detuning
             error = "DegenerateDriveError"
+        elif case == "singular_resolvent":  # the subsample sweep of one row's beat is singular
+            bad_beat = 2.0 * np.pi * (axis[2] - 2.0 * strong.rabi - strong.detuning)
+            batched = floquet._batched_resolvent
+
+            def singular_on_one_beat(rows, idx, nu, cutoff):
+                if nu.size <= floquet.SUBSAMPLE and any(rows[i][0].delta == bad_beat for i in idx):
+                    raise SingularSystemError("resolvent solve hit a singular block")
+                return batched(rows, idx, nu, cutoff)
+
+            monkeypatch.setattr(floquet, "_batched_resolvent", singular_on_one_beat)
+            error = "SingularSystemError: resolvent"
         else:
             bad_beat = 2.0 * np.pi * (axis[2] - 2.0 * strong.rabi - strong.detuning)
             solve = floquet._solve_balance
@@ -139,6 +152,31 @@ class TestDetuningMap:
         monkeypatch.setattr(scans, "build_periodic_liouvillian", no_rows)
         with pytest.raises(ValidationError, match="workers must be at least 1"):
             detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=0)
+
+    def test_the_pool_never_outnumbers_the_rows(self, emitter, strong, monkeypatch):
+        # a process pool forks all its workers at the first task, so it gets
+        # one per row at most, and a single row runs without one
+        pools = []
+
+        class RecordingPool:  # maps in this process and starts none
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        two = detuning_map(emitter, strong, 0.87, MAP_AXIS[:2], MAP_GRID, workers=10_000)
+        assert pools == [2] and two.failures == ()
+        one = detuning_map(emitter, strong, 0.87, MAP_AXIS[:1], MAP_GRID, workers=10_000)
+        assert pools == [2] and one.failures == ()
+        assert np.array_equal(one.intensity[0], two.intensity[0])
 
     def test_failed_rows_are_reported_not_raised(self, emitter, strong):
         grid = np.linspace(-2.0, 2.0, 41)
@@ -558,6 +596,32 @@ def test_floquet_has_one_ladder():
         and any(isinstance(n, ast.Name) and n.id == "EDGE_TOL" for n in ast.walk(node))
     }
     assert len(gates) == 1
+
+
+def _named(tree) -> set:
+    """Every name a module's source uses, imports, reads as an attribute or defines."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_truncations_are_settled_in_one_place():
+    # rows hand their truncations back as data: one floquet function turns
+    # them into errors or warnings, and only the command line records warnings
+    package = Path(inspect.getfile(floquet)).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert {name for name, tree in trees.items() if "catch_warnings" in _named(tree)} == {"cli.py"}
+    functions = [f for f in ast.walk(trees["floquet.py"]) if isinstance(f, ast.FunctionDef)]
+    assert len([f for f in functions if "TruncationWarning" in _named(f)]) == 1
+    assert _named(trees["scans.py"]).isdisjoint({"TruncationWarning", "_full_grid_spectrum", "_row_task"})
 
 
 def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
