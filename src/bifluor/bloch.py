@@ -194,6 +194,23 @@ def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
     return mean, lo, hi
 
 
+def _require_cover(grid, center, span, linewidths, emitter: EmitterParams) -> None:
+    """Raise CoverageError unless ``grid`` covers the lines around ``center``.
+
+    The lines reach ``span`` plus ``linewidths`` transverse linewidths to
+    either side; each end of the grid may fall short by 1e-9 relative.
+    Both engines, this one and floquet, check their grids here.
+    """
+    half = span + linewidths / (TWO_PI * emitter.t2_ns)
+    lo, hi = center - half, center + half
+    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    if grid.min() > lo + tol or grid.max() < hi - tol:
+        raise CoverageError(
+            f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
+            f"[{lo:g}, {hi:g}] GHz around the drive"
+        )
+
+
 def _mean_spectrum(
     emitter: EmitterParams, detuning: float, rabis, grid, weights=None
 ) -> Spectrum:
@@ -206,14 +223,7 @@ def _mean_spectrum(
     member peak, not its own: at equal powers the phase pi is noise.
     """
     grid = np.asarray(grid, dtype=float)
-    span = np.hypot(2.0 * np.max(rabis), detuning) + 5.0 / (TWO_PI * emitter.t2_ns)
-    lo, hi = detuning - span, detuning + span
-    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if grid.min() > lo + tol or grid.max() < hi - tol:
-        raise CoverageError(
-            f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
-            f"[{lo:g}, {hi:g}] GHz around the drive"
-        )
+    _require_cover(grid, detuning, np.hypot(2.0 * np.max(rabis), detuning), 5.0, emitter)
     den, num, elastic = _resolvent(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
     weights = np.ones(elastic.size) if weights is None else np.asarray(weights, float)
     weights = weights / weights.sum()

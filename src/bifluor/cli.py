@@ -15,9 +15,10 @@ into --out, and records a metadata.txt with the package version,
 timestamps, effective settings (including defaults), any warnings, and
 a verbatim echo of the config.  --strict exists only on the subcommands
 with a harmonic cutoff (spectrum, map, subharmonics, degenerate) and
---workers only on map, whose rows run in a process pool; metadata.txt
-records the flags its subcommand has.  Exit codes: 0 success, 1
-validation or configuration problem, 2 numerical failure, 3 I/O failure.
+--workers only on map, whose rows run their full-grid passes in a
+process pool; metadata.txt records the flags its subcommand has.  Exit
+codes: 0 success, 1 validation or configuration problem, 2 numerical
+failure, 3 I/O failure.
 """
 
 from __future__ import annotations

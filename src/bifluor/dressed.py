@@ -30,9 +30,14 @@ positions relative to the bare transition):
 Pairs (4,5), (6,7), (8,9) trace the hyperbolic anti-crossing as the
 weak field scans through the dressed resonance.
 
-The quartet geometry (theta, g, Delta_pair, Lambda, phi) is computed in
-one place, _quartet, and the line-1 weight in one, _central_weight,
-which the Delta1 fit in scans shares.  dressed_populations builds the
+Each closed-form rule is written once.  The quartet geometry (theta,
+g, Delta_pair, Lambda, phi) lives in _quartet, and the line-1 weight in
+_central_weight, which the Delta1 fit in scans shares.
+doubly_dressed_lines lists the six coefficients of lines 4-9 once, as
+the two branches that leave the lower and the upper quartet sublevel,
+and takes the sublevel populations from their sums by detailed balance.
+The secular limit G <= Omega / 2 and its warning live in _secular,
+which central_line_amplitude shares.  dressed_populations builds the
 dressed doublet from the same theta.
 """
 
@@ -121,6 +126,19 @@ def _central_weight(rabi, delta1, g, delta):
     return (np.sin(theta) * np.cos(theta)) ** 2 * cos2p_sq
 
 
+def _secular(rabi, g) -> bool:
+    """Whether G <= Omega / 2, where the pair-by-pair treatment holds; warns if not."""
+    if g <= 0.5 * rabi:
+        return True
+    warnings.warn(
+        "weak drive exceeds half the strong Rabi frequency; the secular "
+        "quartet model is unreliable",
+        NumericsWarning,
+        stacklevel=3,
+    )
+    return False
+
+
 def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     """Nine line centers and weights from the secular quartet model.
 
@@ -128,71 +146,46 @@ def doubly_dressed_lines(drive: BichromaticDrive) -> DoublyDressedLines:
     the dressed pair that becomes degenerate when the weak field hits
     the inner dressed transition; its gap Lambda never closes below
     2 G, producing the avoided crossing of the daughter lines.
+
+    Lines 4, 6 and 8 leave the lower quartet sublevel and 5, 7 and 9
+    the upper one, at -Lambda and +Lambda around lines 1, 2 and 3.  The
+    sublevel populations follow from detailed balance: each branch's
+    summed coefficients are its sublevel's decay rate, and
+    p+ sum(upper) = p- sum(lower), so both sublevels emit equally and
+    neither traps the population.
     """
     delta = drive.delta
     d1 = drive.strong.detuning
-    theta, g_eff, d_pair, lam, phi = _quartet(drive.strong.rabi, d1, drive.weak.rabi, delta)
+    theta, _g_eff, _d_pair, lam, phi = _quartet(drive.strong.rabi, d1, drive.weak.rabi, delta)
     sin_t2, cos_t2 = np.sin(theta) ** 2, np.cos(theta) ** 2
     sin_p, cos_p = np.sin(phi), np.cos(phi)
-    sin2p = np.sin(2.0 * phi)
-
-    # radiative rates between the quartet eigenstates set the secular
-    # populations: detailed balance of the summed |amplitude|^2
-    rate_down = (
-        sin_t2 * cos_t2 * sin2p**2
-        + sin_t2**2 * sin_p**4
-        + cos_t2**2 * cos_p**4
-    )  # + -> -
-    rate_up = (
-        sin_t2 * cos_t2 * sin2p**2
-        + sin_t2**2 * cos_p**4
-        + cos_t2**2 * sin_p**4
-    )  # - -> +
-    p_plus = rate_up / (rate_up + rate_down)
+    cross = sin_t2 * cos_t2 * np.sin(2.0 * phi) ** 2
+    # unweighted coefficients of lines 4, 6, 8 (lower) and 5, 7, 9 (upper)
+    lower = (cross, cos_t2**2 * sin_p**4, sin_t2**2 * cos_p**4)
+    upper = (cross, cos_t2**2 * cos_p**4, sin_t2**2 * sin_p**4)
+    p_plus = sum(lower) / (sum(lower) + sum(upper))  # detailed balance
     p_minus = 1.0 - p_plus
 
-    cross = sin_t2 * cos_t2 * sin2p**2
-    raw = {
-        1: _central_weight(drive.strong.rabi, d1, drive.weak.rabi, delta),
-        4: p_minus * cross,
-        5: p_plus * cross,
-        2: cos_t2**2 * sin_p**2 * cos_p**2,
-        6: p_minus * cos_t2**2 * sin_p**4,
-        7: p_plus * cos_t2**2 * cos_p**4,
-        3: sin_t2**2 * sin_p**2 * cos_p**2,
-        8: p_minus * sin_t2**2 * cos_p**4,
-        9: p_plus * sin_t2**2 * sin_p**4,
-    }
-    centers = {
-        1: 0.0,
-        2: -delta,
-        3: +delta,
-        4: -lam,
-        5: +lam,
-        6: -delta - lam,
-        7: -delta + lam,
-        8: +delta - lam,
-        9: +delta + lam,
-    }
-    top = max(raw.values())
-    scale = 1.0 / top if top > 0.0 else 1.0
-    lines = tuple(
-        LineRecord(label=k, center_ghz=float(d1 + centers[k]), weight=float(raw[k] * scale))
-        for k in sorted(centers)
+    centers = (0.0, -delta, delta)
+    parents = (
+        _central_weight(drive.strong.rabi, d1, drive.weak.rabi, delta),
+        cos_t2**2 * sin_p**2 * cos_p**2,
+        sin_t2**2 * sin_p**2 * cos_p**2,
     )
-    secular = drive.weak.rabi <= 0.5 * drive.strong.rabi
-    if not secular:
-        warnings.warn(
-            "weak drive exceeds half the strong Rabi frequency; secular "
-            "quartet weights are unreliable",
-            NumericsWarning,
-            stacklevel=2,
-        )
+    rows = list(zip(centers, parents))  # labels 1-3, then the pairs 4-9
+    for center, down, up in zip(centers, lower, upper):
+        rows += [(center - lam, p_minus * down), (center + lam, p_plus * up)]
+    top = max(weight for _center, weight in rows)
+    top = top if top > 0.0 else 1.0  # dividing leaves the strongest exactly 1
+    lines = tuple(
+        LineRecord(label=k, center_ghz=float(d1 + center), weight=float(weight / top))
+        for k, (center, weight) in enumerate(rows, start=1)
+    )
     return DoublyDressedLines(
         lines=lines,
         lambda_ghz=float(lam),
         populations=(float(p_plus), float(p_minus)),
-        secular=secular,
+        secular=_secular(drive.strong.rabi, drive.weak.rabi),
     )
 
 
@@ -212,13 +205,8 @@ def central_line_amplitude(rabi: float, g: float, delta2: float) -> float:
             raise ValidationError(f"{name} must be finite")
     if rabi < 0.0 or g < 0.0:
         raise ValidationError("rabi and g must be non-negative")
-    if g > 0.5 * rabi and rabi > 0.0:
-        warnings.warn(
-            "weak drive exceeds half the strong Rabi frequency; secular "
-            "amplitude is unreliable",
-            NumericsWarning,
-            stacklevel=2,
-        )
+    if rabi > 0.0:
+        _secular(rabi, g)
     if g == 0.0:
         return 0.5 if delta2 == 0.0 else float(0.5 * np.sign(delta2))
     return float(0.5 * delta2 / np.hypot(delta2, 2.0 * g))

@@ -74,11 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Spectrum
+from .bloch import Spectrum, _require_cover
 from .emitter import TWO_PI, BichromaticDrive, EmitterParams
 from .errors import (
     BifluorError,
-    CoverageError,
     DegenerateDriveError,
     SingularSystemError,
     TruncationError,
@@ -600,18 +599,10 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
     """Raise CoverageError unless ``grid`` covers pl's lines (see emission_spectrum)."""
     drive = pl.drive
     d1 = drive.strong.detuning
-    lw = 1.0 / (TWO_PI * pl.emitter.t2_ns)
-    g_half = 2.0 * drive.weak.rabi
     span = np.hypot(2.0 * drive.strong.rabi, d1)  # Mollow sidebands at d1 +- span
     if drive.weak.rabi > 0.0:
         span = max(span, abs(drive.delta))
-    need = span + g_half + 3.0 * lw
-    tol = 1e-9 * max(1.0, abs(d1) + need)
-    if grid.min() > d1 - need + tol or grid.max() < d1 + need - tol:
-        raise CoverageError(
-            f"grid [{grid.min():g}, {grid.max():g}] GHz must cover "
-            f"[{d1 - need:g}, {d1 + need:g}] GHz around the strong drive"
-        )
+    _require_cover(grid, d1, span + 2.0 * drive.weak.rabi, 3.0, pl.emitter)
 
 
 def _accepted(value, issue, strict: bool):

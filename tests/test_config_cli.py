@@ -2,9 +2,11 @@
 
 import multiprocessing
 import os
+import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +357,20 @@ def write_cfg(tmp_path, text, name="run.ini"):
 
 
 class TestCli:
+    def test_readme_configs_parse_and_its_spectrum_example_runs(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) >= 2
+        for text in blocks:
+            entries = parse_config_text(text, path="README.md").entries
+            # a value takes no trailing comment
+            assert not [key for key, (raw, _line) in entries.items() if "#" in raw]
+        (example,) = [text for text in blocks if "[emitter]" in text]
+        cfg = write_cfg(tmp_path, example)
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert len((out / "lines.csv").read_text().splitlines()) == 10
+
     def test_mollow_writes_spectrum_and_metadata(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MOLLOW_CFG)
         out = tmp_path / "out"

@@ -1,8 +1,14 @@
 """Dressed-state line positions, interference amplitude, and populations."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bifluor import dressed
 from bifluor.dressed import (
     _quartet,
     central_line_amplitude,
@@ -94,6 +100,50 @@ def test_strong_weak_field_flags_nonsecular(emitter, strong):
     with pytest.warns(NumericsWarning):
         lines = doubly_dressed_lines(drive)
     assert not lines.secular
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.5, 4.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 0.5),
+    st.floats(0.1, 12.0),
+    st.sampled_from((-1.0, 1.0)),
+)
+def test_secular_lines_keep_detailed_balance(rabi, delta1, g_frac, beat, sign):
+    # detailed balance p+ sum(upper rates) = p- sum(lower rates): the
+    # weights already carry p+ and p-, so the two sublevels emit equally
+    drive = BichromaticDrive(
+        strong=DriveField(detuning=delta1, rabi=rabi),
+        weak=DriveField(detuning=delta1 + sign * beat, rabi=g_frac * rabi),
+    )
+    lines = doubly_dressed_lines(drive)
+    assert lines.secular
+    p_plus, p_minus = lines.populations
+    assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+    w = {rec.label: rec.weight for rec in lines.lines}
+    assert w[5] + w[7] + w[9] == pytest.approx(w[4] + w[6] + w[8], rel=1e-12)
+    assert all(0.0 <= weight <= 1.0 for weight in w.values())
+    assert max(w.values()) == 1.0
+    lam = lines.lambda_ghz
+    for lo, hi, mid in ((4, 5, 1), (6, 7, 2), (8, 9, 3)):
+        center = lines.line(mid).center_ghz
+        assert lines.line(lo).center_ghz == pytest.approx(center - lam, abs=1e-12)
+        assert lines.line(hi).center_ghz == pytest.approx(center + lam, abs=1e-12)
+
+
+def test_one_function_states_the_secular_limit():
+    # the G <= Omega / 2 test and its warning live in one helper that
+    # doubly_dressed_lines and central_line_amplitude share
+    tree = ast.parse(inspect.getsource(dressed))
+    warners = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "NumericsWarning"
+    }
+    assert len(warners) == 1
 
 
 def test_central_amplitude_vanishes_on_resonance():

@@ -1,5 +1,7 @@
 """Bichromatic periodic steady state and its emission spectrum."""
 
+import ast
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ from oracles import (
     sambe_dense_solve,
     window_weight,
 )
-from bifluor import floquet
+from bifluor import bloch, floquet
 from bifluor.bloch import mollow_spectrum
 from bifluor.dressed import subharmonic_shift
 from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
@@ -118,6 +120,19 @@ def test_grid_must_cover_the_detuned_strong_sidebands(emitter):
     with pytest.raises(CoverageError):
         emission_spectrum(pl, state, np.linspace(-4.67, 12.67, 175))
     emission_spectrum(pl, state, np.linspace(-6.0, 14.0, 201))
+
+
+def test_one_function_checks_grid_coverage():
+    # the Bloch and the Floquet engine share one coverage rule: one
+    # function holds its tolerance and raises its CoverageError
+    raisers = [
+        func.name
+        for module in (bloch, floquet)
+        for func in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "CoverageError" for n in ast.walk(func))
+    ]
+    assert len(raisers) == 1
 
 
 def test_cutoff_doubling_leaves_the_spectrum_unchanged(emitter, drive, fine_grid):
