@@ -43,7 +43,7 @@ from .config import (
 )
 from .dressed import doubly_dressed_lines
 from .emitter import EmitterParams, DriveField
-from .errors import BifluorError, ConfigError
+from .errors import BifluorError, ConfigError, TruncationWarning
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 from .scans import (
     ETALON_ORDERS,
@@ -114,7 +114,7 @@ def _cmd_spectrum(args, cfg: ConfigFile):
     cfg.raise_on_unused()
     pl = build_periodic_liouvillian(emitter, drive)
     state = periodic_steady_state(pl)
-    spec = emission_spectrum(pl, state, grid, strict=args.strict)
+    spec = emission_spectrum(pl, state, grid)
     csvio.write_spectrum(os.path.join(args.out, "spectrum.csv"), spec)
     lines = doubly_dressed_lines(drive)
     csvio.write_lines(os.path.join(args.out, "lines.csv"), lines)
@@ -147,7 +147,6 @@ def _cmd_map(args, cfg: ConfigFile):
         grid,
         relative_phase=phase,
         workers=args.workers,
-        strict=args.strict,
     )
     csvio.write_map(os.path.join(args.out, "map.csv"), result)
     curve = central_intensity_curve(result, center=strong.detuning)
@@ -194,7 +193,6 @@ def _cmd_subharmonics(args, cfg: ConfigFile):
         etalon,
         alpha_squared=alpha_sq,
         orders=orders,
-        strict=args.strict,
     )
     csvio.write_curve(
         os.path.join(args.out, "subharmonics.csv"),
@@ -231,7 +229,7 @@ def _cmd_degenerate(args, cfg: ConfigFile):
     grid = build_grid(cfg)
     method = cfg.get_str("scan.method", "phase_average")
     cfg.raise_on_unused()
-    spec = degenerate_spectrum(emitter, strong, alpha, grid, method=method, strict=args.strict)
+    spec = degenerate_spectrum(emitter, strong, alpha, grid, method=method)
     csvio.write_spectrum(os.path.join(args.out, "degenerate.csv"), spec)
     extra = {"method": method, "diag.max_resolvent_cutoff": spec.resolvent_cutoff}
     try:
@@ -339,6 +337,8 @@ def main(argv=None) -> int:
         started = _utcnow()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            if getattr(args, "strict", False):  # a truncation fails instead of warning
+                warnings.simplefilter("error", TruncationWarning)
             extra = _COMMANDS[args.command](args, cfg)
         notes = [f"{w.category.__name__}: {w.message}" for w in caught]
         for note in notes:

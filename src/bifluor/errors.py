@@ -81,7 +81,7 @@ class FitFailure(NumericalError):
 
 
 class TruncationWarning(UserWarning):
-    """Non-strict version of TruncationError (escalated under --strict)."""
+    """TruncationError of a result that stands; the warnings filter of --strict raises it."""
 
 
 class NumericsWarning(UserWarning):

@@ -59,7 +59,7 @@ where the choosing solve is itself the result (the steady state, the
 etalon rows of a scan, a grid no larger than the subsample) it doubles,
 since there each rung is a solve of its own.  A spectrum is the one-row
 case of _spectra, the path of a map's rows, which settles (_accepted)
-the truncations their full-grid passes return as data.
+their (value, issue) pairs: a truncation warns, or fails under --strict.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -277,13 +277,10 @@ def _steady_states(pls) -> list:
         return zip(np.moveaxis(harm, -1, 0), (edge / ref).tolist())
 
     rows = _ladder(solve, [8] * len(pls), _STEADY_CEILING, "harmonic balance")
-    states = []
-    for pl, row in zip(pls, rows):
-        if not isinstance(row, SingularSystemError):
-            k, harm, truncation = row
-            row = truncation or PeriodicState(harmonics=harm.copy(), cutoff=k, delta=pl.delta)
-        states.append(row)
-    return states
+    return [
+        issue or PeriodicState(harmonics=value[1].copy(), cutoff=value[0], delta=pl.delta)
+        for pl, (value, issue) in zip(pls, rows)
+    ]
 
 
 def periodic_steady_state(pl: PeriodicLiouvillian) -> PeriodicState:
@@ -520,17 +517,17 @@ def _truncation(what: str, cutoff: int, resid: float) -> TruncationError:
 
 
 def _ladder(solve, starts, ceiling: int, what: str, fine: bool = False) -> list:
-    """The one cutoff ladder: per row (cutoff, value, truncation), or its error.
+    """The one cutoff ladder: per row ((cutoff, value), issue), or (None, issue).
 
     ``solve(idx, cutoff)`` solves the rows ``idx`` at one cutoff in one
     batch and returns each row's (value, edge residual).  A row starts at
     its entry of ``starts`` and climbs, doubling or, if ``fine``, by 1.5x
     (module docstring), until its residual is within EDGE_TOL or it reaches
     ``ceiling``; there it keeps its value, with the TruncationError of the
-    ``what`` solve if unconverged.  The rows pending at the smallest cutoff
-    share one solve.  A batch that hits a singular block is solved again
-    row by row at that cutoff, so only a singular row fails, with a
-    SingularSystemError.
+    ``what`` solve as its issue if unconverged (else None).  The rows
+    pending at the smallest cutoff share one solve.  A batch that hits a
+    singular block is solved again row by row at that cutoff, so only a
+    singular row fails: no value, a SingularSystemError as its issue.
     """
     out, pending = [None] * len(starts), dict(enumerate(starts))
     while pending:
@@ -543,7 +540,7 @@ def _ladder(solve, starts, ceiling: int, what: str, fine: bool = False) -> list:
                 if len(idx) > 1:
                     batches += [[i] for i in idx]
                 else:
-                    out[idx[0]] = SingularSystemError(f"{what} solve failed: {exc}")
+                    out[idx[0]] = None, SingularSystemError(f"{what} solve failed: {exc}")
                     del pending[idx[0]]
                 continue
             for i, (value, resid) in zip(idx, solved):
@@ -551,7 +548,7 @@ def _ladder(solve, starts, ceiling: int, what: str, fine: bool = False) -> list:
                     pending[i] = min(cutoff + max(cutoff // 2 if fine else cutoff, 1), ceiling)
                     continue
                 truncation = _truncation(what, cutoff, resid) if resid > EDGE_TOL else None
-                out[i] = cutoff, value, truncation
+                out[i] = (cutoff, value), truncation
                 del pending[i]
     return out
 
@@ -582,8 +579,8 @@ def _resolvent_cutoffs(rows, nu, starts=None, full_pass=False) -> list:
     ``full_pass``, else doubling.  A row starts at its entry of ``starts``,
     by default its steady-state cutoff (0 without a weak field), and is
     judged by its edge harmonics against its own largest x_0.  Returns per
-    row (cutoff, x0, the TruncationError of an unconverged ceiling or
-    None), or its SingularSystemError.
+    row ((cutoff, x0), the TruncationError of an unconverged ceiling or
+    None), or (None, its SingularSystemError).
     """
     if starts is None:
         starts = [min(st.cutoff, CUTOFF_CEILING) if pl.lp.any() else 0 for pl, st in rows]
@@ -605,17 +602,20 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
     _require_cover(grid, d1, span + 2.0 * drive.weak.rabi, 3.0, pl.emitter)
 
 
-def _accepted(value, issue, strict: bool):
+def _accepted(value, issue):
     """A row's ``value``, or its error ``issue``: the one place a truncation is settled.
 
-    An ``issue`` beside a ``value`` is a truncation: the row's error under
-    ``strict``, else a TruncationWarning while the value stands.
+    An ``issue`` beside a ``value`` is a truncation: a TruncationWarning while
+    the value stands, or the row's error where a warnings filter raises it.
     """
     if issue is None:
         return value
-    if value is None or strict:
+    if value is None:
         return issue
-    warnings.warn(str(issue), TruncationWarning, stacklevel=2)
+    try:
+        warnings.warn(str(issue), TruncationWarning, stacklevel=2)
+    except TruncationWarning:
+        return issue
     return value
 
 
@@ -628,13 +628,14 @@ def _full_grid_spectrum(task):
     cutoff along the same 1.5x ladder.  Neither warns nor raises, so it
     runs alike in a process pool.
     """
-    pl, state, grid, choice = task
+    pl, state, grid, (value, issue) = task
     d1 = pl.drive.strong.detuning
-    if grid.size > SUBSAMPLE and not isinstance(choice, Exception):
-        (choice,) = _resolvent_cutoffs([(pl, state)], TWO_PI * (grid - d1), [choice[0]], True)
-    if isinstance(choice, Exception):
-        return None, choice
-    cutoff, x0, truncation = choice
+    if grid.size > SUBSAMPLE and value is not None:
+        nu = TWO_PI * (grid - d1)
+        ((value, issue),) = _resolvent_cutoffs([(pl, state)], nu, [value[0]], True)
+    if value is None:
+        return None, issue
+    cutoff, x0 = value
     # the ge component, whose trace against sigma+ gives the correlation
     intensity = 2.0 * x0[1].real
     weights = np.abs(state.harmonics[:, 1]) ** 2
@@ -655,10 +656,10 @@ def _full_grid_spectrum(task):
         )
     except BifluorError as exc:  # an invalid spectrum fails this row only
         return None, exc
-    return spec, truncation
+    return spec, issue
 
 
-def _spectra(rows, grid: np.ndarray, detuning: float, strict: bool, mapper=map) -> list:
+def _spectra(rows, grid: np.ndarray, detuning: float, mapper=map) -> list:
     """Spectra of rows as in _batched_resolvent on ``grid`` (GHz): each a Spectrum or its error.
 
     ``detuning``, the strong drive's, is the origin of the frequencies.
@@ -671,14 +672,13 @@ def _spectra(rows, grid: np.ndarray, detuning: float, strict: bool, mapper=map) 
     nu = TWO_PI * (grid - detuning)[sub]
     choices = _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
     tasks = [(*row, grid, choice) for row, choice in zip(rows, choices)]
-    return [_accepted(*row, strict) for row in mapper(_full_grid_spectrum, tasks)]
+    return [_accepted(*row) for row in mapper(_full_grid_spectrum, tasks)]
 
 
 def emission_spectrum(
     pl: PeriodicLiouvillian,
     state: PeriodicState,
     grid: np.ndarray,
-    strict: bool = False,
 ) -> Spectrum:
     """Beat-averaged emission spectrum on ``grid`` (GHz, relative to the transition).
 
@@ -691,9 +691,9 @@ def emission_spectrum(
     the cutoff so chosen while it fails.  A grid larger than the
     subsample climbs by 1.5x, so that its full-grid pass overshoots
     less; a smaller one is its own subsample and doubles.  At
-    CUTOFF_CEILING without convergence a TruncationWarning is issued (a
-    TruncationError under ``strict``) and the ceiling result is
-    returned.  The accepted cutoff is the result's ``resolvent_cutoff``.
+    CUTOFF_CEILING without convergence the ceiling result is returned with
+    a TruncationWarning (raised as TruncationError by an error filter).
+    The accepted cutoff is the result's ``resolvent_cutoff``.
     The elastic lines are |<sigma->_m|^2 at Delta1 - m delta for every
     steady-state harmonic m.  The grid must cover Delta1 +- (the larger
     of the Mollow sideband offset sqrt((2 Omega)^2 + Delta1^2) and the
@@ -702,7 +702,7 @@ def emission_spectrum(
     """
     grid = np.asarray(grid, dtype=float)
     _check_coverage(pl, grid)
-    (spec,) = _spectra([(pl, state)], grid, pl.drive.strong.detuning, strict)
+    (spec,) = _spectra([(pl, state)], grid, pl.drive.strong.detuning)
     if isinstance(spec, Exception):
         raise spec
     return spec

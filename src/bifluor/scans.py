@@ -79,8 +79,11 @@ def _airy_lorentzians(etalon: EtalonFilter) -> tuple[float, float]:
     return float(np.tanh(beta) * etalon.fsr_ghz), float(beta * etalon.fsr_ghz / np.pi)
 
 
-def _row_error(exc: BifluorError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _failures(axis, errors) -> tuple[tuple[float, str], ...]:
+    """(axis value, "Type: message") of each row's error in ``errors``, in row order."""
+    return tuple(
+        (float(axis[i]), f"{type(exc).__name__}: {exc}") for i, exc in sorted(errors.items())
+    )
 
 
 def _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase=0.0, grid=None):
@@ -136,7 +139,6 @@ def detuning_map(
     grid,
     relative_phase: float = 0.0,
     workers: int = 1,
-    strict: bool = False,
 ) -> ScanResult2D:
     """Emission spectra versus the dressed detuning Delta2.
 
@@ -146,6 +148,7 @@ def detuning_map(
     prepared with the others (floquet._spectra); workers > 1 runs their
     full-grid passes in a pool of min(workers, rows) processes, since a
     pool starts all of them at once.  Nothing depends on the worker count.
+    A truncation warns, or fails its row where the warnings filter raises it.
     """
     delta2_values = np.asarray(delta2_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -156,7 +159,7 @@ def detuning_map(
     detunings = delta2_values - 2.0 * strong.rabi
     rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
     processes = min(workers, len(rows))  # a pool starts all its workers at once
-    args = list(rows.values()), grid, strong.detuning, strict
+    args = list(rows.values()), grid, strong.detuning
     if processes > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -173,13 +176,12 @@ def detuning_map(
             continue
         intensity[i], elastic[i] = spec.intensity, spec.elastic_weight
         cutoffs[i] = spec.resolvent_cutoff
-    failures = {i: _row_error(exc) for i, exc in errors.items()}
     return ScanResult2D(
         delta2=delta2_values,
         freq=grid,
         intensity=intensity,
         elastic_weight=elastic,
-        failures=tuple((float(delta2_values[i]), failures[i]) for i in sorted(failures)),
+        failures=_failures(delta2_values, errors),
         cutoffs=cutoffs,
     )
 
@@ -315,6 +317,8 @@ def subharmonic_axis(
     """
     if rabi <= 0.0:
         raise ValidationError("rabi must be positive")
+    if points_per_order < 1:
+        raise ValidationError("points_per_order must be at least 1")
     points = []
     for n in _orders(orders):
         base = 2.0 * rabi / n
@@ -348,7 +352,7 @@ def _laurent_coefficients(rows, good, terms: int) -> np.ndarray:
     return np.stack(coef, axis=1)
 
 
-def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
+def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon):
     """Etalon-filtered incoherent intensity at each weak detuning.
 
     With z = i nu the spectrum is S(f) = 2 Re x_0[ge](z) at
@@ -365,8 +369,7 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     their resolvents (floquet._resolvent_cutoffs): each row's cutoff
     starts at its steady-state cutoff, and rows pending at one cutoff
     share one batched sweep.  A row that reaches the ceiling unconverged
-    keeps that result with a TruncationWarning, issued in row order, or
-    fails under ``strict`` (floquet._accepted, as for a spectrum).
+    is settled in row order by floquet._accepted, as a spectrum is.
 
     Returns the intensity, the accepted cutoffs, the tail fractions and
     the failures as (delta3, message).
@@ -389,8 +392,7 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
     x0_ge = np.zeros((n_rows, nu.size), dtype=complex)
     cutoffs = np.zeros(n_rows, dtype=int)
     for i, choice in zip(rows, floquet._resolvent_cutoffs(list(rows.values()), nu)):
-        if not isinstance(choice, BifluorError):
-            choice = floquet._accepted(choice[:2], choice[2], strict)
+        choice = floquet._accepted(*choice)
         if isinstance(choice, BifluorError):
             errors[i] = choice
         else:
@@ -405,8 +407,7 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon, strict):
         total = 2.0 * x0_ge[good].real.sum(axis=1) + tail
         intensity[good] = weight * total
         tail_fraction[good] = np.abs(tail / total)
-    failures = tuple((float(delta3_values[i]), _row_error(errors[i])) for i in sorted(errors))
-    return intensity, cutoffs, tail_fraction, failures
+    return intensity, cutoffs, tail_fraction, _failures(delta3_values, errors)
 
 
 def subharmonic_scan(
@@ -416,7 +417,6 @@ def subharmonic_scan(
     etalon: EtalonFilter,
     alpha_squared: float = 0.359,
     orders=(1, 2, 3, 4, 5),
-    strict: bool = False,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
@@ -432,8 +432,8 @@ def subharmonic_scan(
     to 0.7 of a gap above), refined by the parabola through it and its
     neighbours; an order whose lowest point is the first or last of its
     window has no dip.  A row that fails is NaN and listed in
-    ``failures``; ``strict`` turns a cutoff that reaches CUTOFF_CEILING
-    unconverged into such a failure instead of a TruncationWarning.
+    ``failures``, as is one whose cutoff reaches CUTOFF_CEILING
+    unconverged where the warnings filter raises its TruncationWarning.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
@@ -446,7 +446,7 @@ def subharmonic_scan(
             raise CoverageError(f"axis does not reach the order-{n} subharmonic at {base:g} GHz")
     g = 0.5 * float(np.sqrt(alpha_squared)) * strong.rabi
     intensity, cutoffs, tail_fraction, failures = _filtered_rows(
-        emitter, strong, g, delta3_values, etalon, strict
+        emitter, strong, g, delta3_values, etalon
     )
 
     dips = []
@@ -492,7 +492,6 @@ def degenerate_spectrum(
     alpha: float,
     grid,
     method: str = "phase_average",
-    strict: bool = False,
 ) -> bloch.Spectrum:
     """Spectrum for two drives at the same frequency (power ratio alpha).
 
@@ -509,8 +508,8 @@ def degenerate_spectrum(
     alpha = 0.8 and 1.2e-7 at alpha = 1.  ``small_delta`` instead runs
     the bichromatic engine at a beat detuning of one twentieth of the
     radiative linewidth, gamma_sp / (2 pi) / 20, so the phase is swept
-    physically.  Both see the same distribution.  ``strict`` is passed
-    on to emission_spectrum.
+    physically.  Both see the same distribution.  A truncation of the
+    ``small_delta`` spectrum is settled as in emission_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(alpha) or alpha < 0.0:
@@ -530,7 +529,7 @@ def degenerate_spectrum(
         )
         drive = BichromaticDrive(strong=strong, weak=weak)
         pl = build_periodic_liouvillian(emitter, drive)
-        return emission_spectrum(pl, periodic_steady_state(pl), grid, strict=strict)
+        return emission_spectrum(pl, periodic_steady_state(pl), grid)
     raise ValidationError(f"unknown method {method!r}")
 
 

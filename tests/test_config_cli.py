@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,23 @@ grid_step_ghz = 0.02
         cfg = write_cfg(tmp_path, SUBHARMONICS_CFG.replace("orders = 1", "orders = 0"))
         assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "subharmonic orders must be positive" in capsys.readouterr().err
+
+    def test_subharmonic_points_per_order_below_one_exits_one(self, tmp_path, capsys):
+        # a negative count once reached numpy's linspace and escaped as a traceback
+        text = SUBHARMONICS_CFG.replace("points_per_order = 5", "points_per_order = -1")
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["subharmonics", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "points_per_order" in err
+        assert "Traceback" not in err
+
+    def test_strict_leaves_the_warnings_filters_as_they_were(self, tmp_path, monkeypatch):
+        # --strict sets its filter for the run only, also when the run fails
+        monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+        cfg = write_cfg(tmp_path, SPECTRUM_CFG)
+        before = list(warnings.filters)
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--strict"]) == 2
+        assert warnings.filters == before
 
     def test_non_finite_etalon_centre_exits_one(self, tmp_path, capsys):
         text = SUBHARMONICS_CFG.replace("fsr_ghz = 9.18", "center_ghz = nan\nfsr_ghz = 9.18")

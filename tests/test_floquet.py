@@ -3,6 +3,7 @@
 import ast
 import inspect
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,8 +170,9 @@ def test_cutoff_ceiling_warns_and_strict_raises(emitter, monkeypatch):
     monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
     with pytest.warns(TruncationWarning, match="harmonic cutoff 4"):
         emission_spectrum(pl, state, grid)
-    with pytest.raises(TruncationError) as info:
-        emission_spectrum(pl, state, grid, strict=True)
+    with pytest.raises(TruncationError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        emission_spectrum(pl, state, grid)
     assert info.value.residual > 1e-8
 
 

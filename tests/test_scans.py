@@ -16,7 +16,13 @@ from bifluor import floquet, scans
 from bifluor.bloch import mollow_spectrum
 from bifluor.dressed import _quartet
 from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
-from bifluor.errors import CoverageError, SingularSystemError, ValidationError
+from bifluor.errors import (
+    CoverageError,
+    SingularSystemError,
+    TruncationError,
+    TruncationWarning,
+    ValidationError,
+)
 from bifluor.floquet import (
     build_periodic_liouvillian,
     emission_spectrum,
@@ -341,7 +347,7 @@ REF_STRONG = DriveField(detuning=0.0, rabi=2.9)
 
 def one_row(d3, g, etalon):
     """Filtered intensity of one row, with its cutoff, tail and failures."""
-    return scans._filtered_rows(REF_EMITTER, REF_STRONG, g, np.array([d3]), etalon, False)
+    return scans._filtered_rows(REF_EMITTER, REF_STRONG, g, np.array([d3]), etalon)
 
 
 def trapezoid_row(d3, g, etalon, half, step=0.02):
@@ -622,6 +628,62 @@ def test_truncations_are_settled_in_one_place():
     functions = [f for f in ast.walk(trees["floquet.py"]) if isinstance(f, ast.FunctionDef)]
     assert len([f for f in functions if "TruncationWarning" in _named(f)]) == 1
     assert _named(trees["scans.py"]).isdisjoint({"TruncationWarning", "_full_grid_spectrum", "_row_task"})
+
+
+def test_strict_is_a_warnings_filter_not_a_parameter():
+    # --strict is the filter that makes TruncationWarning an error: no function
+    # takes a flag for it, and only the command line sets such a filter
+    package = Path(inspect.getfile(floquet)).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    strict = [
+        f"{name}:{func.name}"
+        for name, tree in trees.items()
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(arg.arg == "strict" for arg in ast.walk(func.args) if isinstance(arg, ast.arg))
+    ]
+    assert strict == []
+    setters = {
+        name
+        for name, tree in trees.items()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func).split(".")[-1] in {"simplefilter", "filterwarnings"}
+        and "TruncationWarning" in _named(call)
+    }
+    assert setters == {"cli.py"}
+
+
+def test_an_error_filter_fails_each_truncated_row(emitter, strong, monkeypatch):
+    # every row below needs a harmonic cutoff above 4; a library caller gets
+    # --strict by making TruncationWarning an error, and the filter changes
+    # nothing where no truncation is left
+    order5 = subharmonic_axis(2.9, orders=(5,), points_per_order=6)
+
+    def run(strict):
+        with warnings.catch_warnings():
+            if strict:
+                warnings.simplefilter("error", TruncationWarning)
+            return (
+                detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID),
+                subharmonic_scan(emitter, strong, order5, ETALON, orders=(5,)),
+            )
+
+    for plain, strict in zip(run(False), run(True)):
+        assert plain.failures == strict.failures == ()
+        assert np.array_equal(plain.intensity, strict.intensity)
+        assert np.array_equal(plain.cutoffs, strict.cutoffs)
+    monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
+    weak = DriveField(detuning=MAP_AXIS[0] - 2.0 * strong.rabi, rabi=0.87)
+    pl = build_periodic_liouvillian(emitter, BichromaticDrive(strong=strong, weak=weak))
+    with pytest.raises(TruncationError) as info, warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        emission_spectrum(pl, periodic_steady_state(pl), MAP_GRID)
+    assert info.value.residual > floquet.EDGE_TOL
+    for result, axis in zip(run(True), (MAP_AXIS, order5)):
+        assert [d for d, _msg in result.failures] == axis.tolist()
+        assert all(msg.startswith("TruncationError: ") for _d, msg in result.failures)
+        assert np.isnan(result.intensity).all() and not result.cutoffs.any()
 
 
 def test_reference_points_run_without_warnings(emitter, strong, drive, fine_grid):
