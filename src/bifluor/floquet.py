@@ -421,6 +421,13 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     so it is carried as a scalar affine map.  With ``harmonics`` (the
     steady state, _solve_balance) every step is kept, and every x_k, found
     outward from x_0, is returned instead: shape (2 * cutoff + 1, 3, n).
+
+    The sweep runs in place on a fixed set of (2, n) arrays, 52 whatever
+    the cutoff: 13 block constants and the beat, broadcast to that shape
+    once; the three diagonals; 23 working buffers; and 12 kept ones, the
+    factors of block cutoff and the lead and tail of the edge map.  A
+    step is copied only where it is kept, so with ``harmonics`` memory
+    grows by 8 such arrays per harmonic.
     """
     l0, lp, lm = _traceless(pl)
     up, down = (np.ix_(p, p) for p in _HALVES)
@@ -434,11 +441,20 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     m00, m02, m20, m22 = o02 * i20, -o02 * i12, -o21 * i20, o21 * i12
     c1221, ni12 = c12 * c21, -i12
     d0, d1, d2 = (1j * np.asarray(nu) + neg[:, i, i, None] for i in range(3))
+    shift = 1j * (pl.delta if delta is None else delta) * np.array([[1.0], [-1.0]])
+    shape = d0.shape
+    # a full-shape operand is about twice as fast as a broadcast one
+    consts = np.empty((14, *shape), dtype=complex)
+    consts[:13] = [o02, o21, i20, c02, c20, c12, c21, m00, m02, m20, m22, c1221, ni12]
+    consts[13] = shift
+    o02, o21, i20, c02, c20, c12, c21, m00, m02, m20, m22, c1221, ni12, shift = consts
     ks = np.arange(cutoff + 1)
     seed = seed if seed.ndim == 3 else seed[..., None]
     seeds = np.stack([seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2)
-    shift = 1j * (pl.delta if delta is None else delta) * np.array([[1.0], [-1.0]])
-    s00 = s02 = s20 = s22 = z0 = z1 = z2 = 0.0
+    work = np.zeros((23, *shape), dtype=complex)
+    rec = work[:8]  # the factors of a block, the record a kept step copies
+    u0, vw, inv11, w, uw, z0, z1, z2 = rec
+    s00, s02, s20, s22, t, p0, p1, a02, v0, u1, v1, r0, bq, gain, acc = work[8:]
     steps = []  # factors of block cutoff, and of every block with ``harmonics``
 
     def outward(step, hub, spoke):  # x_j = inv_j inward x_{j-1} + z_j, from (hub, spoke 0)_{j-1}
@@ -446,39 +462,64 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
         e1, e2 = i12 * hub, i20 * spoke
         h = w * e2 - vw * e1
         return z0 - u0 * h, inv11 * e1 - uw * e2 + z1, h + z2
+
+    # every ufunc call writes its last argument; each line keeps the operands
+    # and order of the plain expression in its comment, so the results are
+    # those bits; t is the scratch buffer
     for j in range(cutoff, 0, -1):
         # x_j = inv (inward x_{j-1} + r), r = seed_j + outward z_{j+1}, z_j = inv r
-        t = j * shift
-        p1 = 1.0 / (d1 + t)
-        a02, a20 = c02 - s02, c20 - s20
-        p0 = 1.0 / (d0 + t - s00)
-        u0, v0, u1, v1 = a02 * p0, a20 * p0, c12 * p1, c21 * p1
-        w = 1.0 / (d2 + t - s22 - v0 * a02 - c1221 * p1)  # inv22
-        r0, r1, r2 = seeds[j]
-        r0 = r0 + o02 * z2
-        z2 = w * (r2 + o21 * z1 - v0 * r0 - v1 * r1)
-        z0, z1 = p0 * r0 - u0 * z2, p1 * r1 - u1 * z2
-        vw, uw = v1 * w, u1 * w
-        inv11 = p1 + u1 * vw
-        s00, s02, s20, s22 = m00 * w, m02 * vw, m20 * uw, m22 * inv11
+        np.multiply(float(j), shift, t)  # t = j shift
+        np.divide(1.0, np.add(d1, t, p1), p1)  # p1 = 1 / (d1 + t)
+        np.subtract(c02, s02, a02)
+        np.add(d0, t, p0)  # p0 = 1 / (d0 + t - s00)
+        np.divide(1.0, np.subtract(p0, s00, p0), p0)
+        np.multiply(np.subtract(c20, s20, v0), p0, v0)  # v0 = (c20 - s20) p0
+        np.multiply(a02, p0, u0)
+        np.multiply(c12, p1, u1)
+        np.multiply(c21, p1, v1)
+        np.subtract(np.add(d2, t, w), s22, w)  # w = inv22, 1 / (d2 + t - s22 ...
+        w -= np.multiply(v0, a02, t)  # ... - v0 a02 ...
+        w -= np.multiply(c1221, p1, t)  # ... - c1221 p1)
+        np.divide(1.0, w, w)
+        r0s, r1s, r2s = seeds[j]
+        np.add(r0s, np.multiply(o02, z2, r0), r0)  # r0 = r0 + o02 z2
+        np.add(r2s, np.multiply(o21, z1, z2), z2)  # z2 = w (r2 + o21 z1 ...
+        z2 -= np.multiply(v0, r0, t)  # ... - v0 r0 ...
+        z2 -= np.multiply(v1, r1s, t)  # ... - v1 r1)
+        np.multiply(w, z2, z2)
+        np.multiply(p0, r0, z0)  # z0 = p0 r0 - u0 z2
+        z0 -= np.multiply(u0, z2, t)
+        np.multiply(p1, r1s, z1)  # z1 = p1 r1 - u1 z2
+        z1 -= np.multiply(u1, z2, t)
+        np.multiply(v1, w, vw)
+        np.multiply(u1, w, uw)
+        np.add(p1, np.multiply(u1, vw, inv11), inv11)  # inv11 = p1 + u1 vw
+        np.multiply(m00, w, s00)
+        np.multiply(m02, vw, s02)
+        np.multiply(m20, uw, s20)
+        np.multiply(m22, inv11, s22)
         # (hub, spoke 0) of block j is (w, -u0 w) eta_j + (z2, z0), with
         # eta_j = bq hub_{j-1} + i20 spoke_{j-1}
         if harmonics or j == cutoff:
-            steps.append((u0, vw, inv11, w, uw, z0, z1, z2))
+            steps.append(rec.copy())
         elif j == cutoff - 1:  # (hub, spoke 0)_{c-1} = lead (gain eta_j + acc) + tail
-            lead, tail, gain, acc = (w, -u0 * w), (z2, z0), 1.0, 0.0
+            lead, tail = (w.copy(), -u0 * w), (z2.copy(), z0.copy())
+            gain[...], acc[...] = 1.0, 0.0
         else:  # eta_{j+1} = w (bq - i20 u0) eta_j + bq z2 + i20 z0
-            acc = acc + gain * (bq * z2 + i20 * z0)
-            gain = gain * w * (bq - i20 * u0)
-        bq = ni12 * v1
+            np.multiply(bq, z2, t)  # acc = acc + gain (bq z2 + i20 z0)
+            t += np.multiply(i20, z0, r0)
+            acc += np.multiply(gain, t, t)
+            np.multiply(gain, w, gain)  # gain = gain w (bq - i20 u0)
+            np.multiply(gain, np.subtract(bq, np.multiply(i20, u0, t), t), gain)
+        np.multiply(ni12, v1, bq)
     # k = 0: one arrow whose spokes are the up half's spoke 0 (_S) and the
     # down half's (_F), around the shared hub
-    a02, a20 = c02 - s02, c20 - s20
-    p0 = 1.0 / (d0 - s00)
-    v0 = a20 * p0
-    r0, _, r2 = seeds[0]
-    r0 = r0 + o02 * z2
-    hub = (r2[0] + (o21 * z1 - v0 * r0).sum(axis=0)) / (d2[0] - (s22 + v0 * a02).sum(axis=0))
+    np.subtract(c02, s02, a02)
+    np.divide(1.0, np.subtract(d0, s00, p0), p0)  # p0 = 1 / (d0 - s00)
+    np.multiply(np.subtract(c20, s20, v0), p0, v0)  # v0 = (c20 - s20) p0
+    r0s, _, r2s = seeds[0]
+    np.add(r0s, np.multiply(o02, z2, r0), r0)  # r0 = r0 + o02 z2
+    hub = (r2s[0] + (o21 * z1 - v0 * r0).sum(axis=0)) / (d2[0] - (s22 + v0 * a02).sum(axis=0))
     spokes = p0 * (r0 - a02 * hub)
     x0 = np.empty((3, hub.size), dtype=complex)
     x0[_HALVES[:, 0]], x0[_H] = spokes, hub
@@ -495,10 +536,11 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     if cutoff == 0:
         return x0, np.zeros(hub.size)
     pair = (hub, spokes)
-    if cutoff > 1:
-        eta = gain * (bq * hub + i20 * spokes) + acc
-        pair = (lead[0] * eta + tail[0], lead[1] * eta + tail[1])
-    edge = np.linalg.norm(outward(steps[0], *pair), axis=0)
+    if cutoff > 1:  # eta = gain (bq hub + i20 spokes) + acc, pair = lead eta + tail
+        np.add(np.multiply(bq, hub, t), np.multiply(i20, spokes, r0), t)
+        eta = np.add(np.multiply(gain, t, t), acc, t)
+        pair = [np.add(np.multiply(a, eta, a), b, a) for a, b in zip(lead, tail)]
+    edge = np.sqrt(sum((v.conj() * v).real for v in outward(steps[0], *pair)))
     return x0, edge.max(axis=0)
 
 

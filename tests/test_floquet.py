@@ -321,6 +321,36 @@ def test_resolvent_memory_does_not_grow_with_the_cutoff(emitter):
     assert peaks[256] < 2.0 * peaks[16]
 
 
+def test_resolvent_working_memory_is_a_fixed_number_of_sweep_arrays(emitter):
+    # the sweep's buffers, constants and kept records are (2, n) arrays; a
+    # new buffer or a per-step temporary that outlives its step shows here
+    pl, state = steady(emitter, small_delta_drive(emitter))
+    nu = 2.0 * np.pi * WIDE_GRID
+    seed = floquet._incoherent_seed(state, 162)
+    tracemalloc.start()
+    try:
+        floquet._sambe_resolvent(pl, seed, nu, 162)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nu.size == 2401
+    assert peak < 64 * np.empty((2, nu.size), dtype=complex).nbytes
+
+
+def test_resolvent_results_do_not_share_memory_across_calls(emitter, drive):
+    pl, state = steady(emitter, drive)
+    nu = 2.0 * np.pi * np.linspace(-9.0, 9.0, 41)
+    x0, edge = floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 16), nu, 16)
+    xs = floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 8), nu, 8, harmonics=True)
+    kept = [x0.copy(), edge.copy(), xs.copy()]
+    # another call of each kind on other inputs, of the same shapes
+    other = floquet._incoherent_seed(state, 16)[::-1] * (2.0 + 1.0j)
+    floquet._sambe_resolvent(pl, other, nu + 1.0, 16)
+    floquet._sambe_resolvent(pl, other[4:-4], nu - 1.0, 8, harmonics=True)
+    for before, after in zip(kept, (x0, edge, xs)):
+        assert np.array_equal(before, after)
+
+
 # --- invariants of the resolvent engine, over emitter and drive parameters
 
 lifetimes = st.tuples(st.floats(200.0, 1000.0), st.floats(0.3, 1.0)).map(

@@ -397,8 +397,8 @@ class TestEtalonOrderSum:
             pl, state = rows[i]
             one = floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 16), nu, 16)
             scale = np.abs(one[0]).max()
-            assert np.abs(x0 - one[0]).max() <= 1e-12 * scale
-            assert np.abs(edge - one[1]).max() <= 1e-12 * scale
+            assert np.abs(x0 - one[0]).max() <= 1e-14 * scale
+            assert np.abs(edge - one[1]).max() <= 1e-14 * scale
         scan = subharmonic_scan(emitter, strong, axis, ETALON, alpha_squared=0.33, orders=(5,))
         single = [one_row(d3, g, ETALON) for d3 in axis]
         assert np.abs(scan.intensity / [row[0][0] for row in single] - 1.0).max() <= 1e-12
