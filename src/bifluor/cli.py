@@ -15,8 +15,10 @@ into --out, and records a metadata.txt with the package version,
 timestamps, effective settings (including defaults), any warnings, and
 a verbatim echo of the config.  --strict exists only on the subcommands
 with a harmonic cutoff (spectrum, map, subharmonics, degenerate) and
---workers only on map, whose rows run their full-grid passes in a
-process pool; metadata.txt records the flags its subcommand has.  Exit
+--workers only on map, whose rows run their full-grid passes in a pool
+of at most that many processes once the map is large enough to pay for
+one (diag.map_processes records how many ran); metadata.txt records the
+flags its subcommand has.  Exit
 codes: 0 success, 1 validation or configuration problem, 2 numerical
 failure, 3 I/O failure.
 """
@@ -158,6 +160,7 @@ def _cmd_map(args, cfg: ConfigFile):
     )
     extra = _numbered("failure", [f"delta2={d2}: {msg}" for d2, msg in result.failures])
     extra["diag.max_resolvent_cutoff"] = int(result.cutoffs.max())
+    extra["diag.map_processes"] = result.processes
     if want_fit:
         fit = fit_delta1(curve, strong.rabi, weak_rabi)
         extra["fit_delta1_ghz"] = fit.delta1
@@ -322,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="process count for scan rows (default: 1)",
+                help="at most this many processes for map rows; a map too small to pay "
+                "for a pool runs in the main process (default: 1)",
             )
         if name == "fit":
             p.add_argument("--data", required=True, help="measured spectrum CSV")

@@ -109,10 +109,17 @@ def read_spectrum(path):
 
 
 def write_map(path, result) -> None:
-    """Long-format map CSV: delta2_ghz,freq_ghz,intensity."""
-    n_rows, n_freq = np.shape(result.intensity)
-    delta2, freq = np.repeat(result.delta2, n_freq), np.tile(result.freq, n_rows)
-    _write_table(path, "delta2_ghz,freq_ghz,intensity", delta2, freq, np.ravel(result.intensity))
+    """Long-format map CSV: delta2_ghz,freq_ghz,intensity.
+
+    Each frequency and each Delta2 goes through _fmt once; an intensity,
+    a float from tolist(), through repr, which is what _fmt gives it.
+    """
+    freq = [f"{_fmt(f)}," for f in result.freq.tolist()]
+    lines = ["delta2_ghz,freq_ghz,intensity\n"]
+    for delta2, row in zip(result.delta2.tolist(), result.intensity.tolist()):
+        head = f"{_fmt(delta2)},"
+        lines += [f"{head}{f}{v!r}\n" for f, v in zip(freq, row)]
+    atomic_write_text(path, "".join(lines))
 
 
 def write_curve(path, x, intensity, x_name: str = "x_ghz") -> None:

@@ -106,6 +106,9 @@ EDGE_TOL = 1e-8  # edge harmonic over the central one at which a cutoff is accep
 CUTOFF_CEILING = 4096  # largest harmonic cutoff of the spectrum resolvent
 SUBSAMPLE = 64  # grid points on which the resolvent cutoff is chosen
 _STEADY_CEILING = 4096  # largest harmonic cutoff of the periodic steady state
+# grid points times chosen cutoffs, summed over a map's rows, from which a process
+# pool pays: two processes tied with one at 0.24-0.37M and won from 0.45M (2 vCPUs)
+_POOL_MIN_WORK = 400_000
 
 
 def __getattr__(name: str):
@@ -701,20 +704,33 @@ def _full_grid_spectrum(task):
     return spec, issue
 
 
-def _spectra(rows, grid: np.ndarray, detuning: float, mapper=map) -> list:
-    """Spectra of rows as in _batched_resolvent on ``grid`` (GHz): each a Spectrum or its error.
+def _spectra(rows, grid: np.ndarray, detuning: float, workers: int = 1) -> tuple[list, int]:
+    """Spectra of rows as in _batched_resolvent on ``grid`` (GHz), and the processes that ran them.
 
     ``detuning``, the strong drive's, is the origin of the frequencies.
     The rows choose their cutoffs together on SUBSAMPLE evenly spread
-    points, by 1.5x unless that is the whole grid; ``mapper`` (map, or a
-    process pool's) runs each row's _full_grid_spectrum, and _accepted
-    settles the results in row order.
+    points, by 1.5x unless that is the whole grid, and then run each
+    _full_grid_spectrum: in this process, or, once grid points times the
+    chosen cutoffs reach _POOL_MIN_WORK, in a pool of min(workers, rows)
+    processes, one contiguous chunk of rows each.  _accepted settles the
+    results (each a Spectrum or its error) in row order.
     """
     sub = np.unique(np.linspace(0, grid.size - 1, SUBSAMPLE).round().astype(int))
     nu = TWO_PI * (grid - detuning)[sub]
     choices = _resolvent_cutoffs(rows, nu, full_pass=grid.size > SUBSAMPLE)
     tasks = [(*row, grid, choice) for row, choice in zip(rows, choices)]
-    return [_accepted(*row) for row in mapper(_full_grid_spectrum, tasks)]
+    work = grid.size * sum(value[0] for value, _issue in choices if value is not None)
+    # a pool starts all its processes at once, so it gets one per row at most
+    processes = min(workers, len(tasks)) if work >= _POOL_MIN_WORK else 1
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            chunk = -(-len(tasks) // processes)
+            results = list(pool.map(_full_grid_spectrum, tasks, chunksize=chunk))
+    else:
+        results = map(_full_grid_spectrum, tasks)
+    return [_accepted(*result) for result in results], processes
 
 
 def emission_spectrum(
@@ -744,7 +760,7 @@ def emission_spectrum(
     """
     grid = np.asarray(grid, dtype=float)
     _check_coverage(pl, grid)
-    (spec,) = _spectra([(pl, state)], grid, pl.drive.strong.detuning)
+    (spec,), _processes = _spectra([(pl, state)], grid, pl.drive.strong.detuning)
     if isinstance(spec, Exception):
         raise spec
     return spec

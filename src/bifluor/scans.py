@@ -9,8 +9,9 @@ relative phase survives.
 The rows of both scans share a Liouvillian, so their steady states and
 resolvent cutoffs are solved together in batched sweeps.  A map row is
 emission_spectrum's one-row case (floquet._spectra); only its full-grid
-pass may run in a process pool, and it returns its truncation as data,
-settled in row order, so results and warnings do not depend on workers.
+pass may run in a process pool, started when the map is large enough to
+pay for one, and it returns its truncation as data, settled in row
+order, so results and warnings do not depend on workers.
 """
 
 from __future__ import annotations
@@ -125,6 +126,7 @@ class ScanResult2D:
     failures: tuple[tuple[float, str], ...]
     # accepted resolvent cutoff of each row, 0 for a failed row
     cutoffs: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    processes: int = 1  # processes that ran the full-grid passes, 1 for the main one
 
     def __post_init__(self):
         for arr in (self.delta2, self.freq, self.intensity, self.elastic_weight, self.cutoffs):
@@ -145,10 +147,12 @@ def detuning_map(
     Delta2 = Delta3 + 2 Omega locates the weak field relative to the
     inner dressed transition; each axis point gets a weak field at the
     corresponding bare detuning.  Each row is its emission_spectrum,
-    prepared with the others (floquet._spectra); workers > 1 runs their
-    full-grid passes in a pool of min(workers, rows) processes, since a
-    pool starts all of them at once.  Nothing depends on the worker count.
-    A truncation warns, or fails its row where the warnings filter raises it.
+    prepared with the others (floquet._spectra).  ``workers`` bounds the
+    processes of their full-grid passes: a map large enough to pay for a
+    pool runs them in min(workers, rows) processes, a smaller one in this
+    process; ``processes`` of the result says which.  Nothing else depends
+    on the worker count.  A truncation warns, or fails its row where the
+    warnings filter raises it.
     """
     delta2_values = np.asarray(delta2_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -158,15 +162,7 @@ def detuning_map(
         raise ValidationError("workers must be at least 1")
     detunings = delta2_values - 2.0 * strong.rabi
     rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
-    processes = min(workers, len(rows))  # a pool starts all its workers at once
-    args = list(rows.values()), grid, strong.detuning
-    if processes > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            spectra = floquet._spectra(*args, pool.map)
-    else:
-        spectra = floquet._spectra(*args)
+    spectra, processes = floquet._spectra(list(rows.values()), grid, strong.detuning, workers)
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
     cutoffs = np.zeros(delta2_values.size, dtype=int)
@@ -183,6 +179,7 @@ def detuning_map(
         elastic_weight=elastic,
         failures=_failures(delta2_values, errors),
         cutoffs=cutoffs,
+        processes=processes,
     )
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from bifluor import floquet
 from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
 from bifluor.scans import EtalonFilter, subharmonic_axis, subharmonic_scan
 
@@ -35,6 +36,12 @@ def drive(strong):
     return BichromaticDrive(
         strong=strong, weak=DriveField(detuning=-2.0 * REF_RABI, rabi=REF_G)
     )
+
+
+@pytest.fixture()
+def pool_gate_open(monkeypatch):
+    """Maps of any size run in a pool when they have workers and rows to share."""
+    monkeypatch.setattr(floquet, "_POOL_MIN_WORK", 0)
 
 
 @pytest.fixture(scope="session")

@@ -415,6 +415,18 @@ class TestCli:
         assert "\nstrict=False\nworkers=1\n" in meta
         assert "fitted strong detuning" in capsys.readouterr().out
 
+    def test_map_records_its_processes(self, tmp_path, monkeypatch):
+        # five rows of 81 points are far too few to pay for a pool
+        cfg = write_cfg(tmp_path, MAP_CFG)
+        processes = {}
+        for gate in ("closed", "open"):
+            if gate == "open":
+                monkeypatch.setattr(floquet, "_POOL_MIN_WORK", 0)
+            out = tmp_path / gate
+            assert cli.main(["map", "--config", cfg, "--out", str(out), "--workers", "2"]) == 0
+            processes[gate] = read_keyvalue(out / "metadata.txt")["diag.map_processes"]
+        assert processes == {"closed": "1", "open": "2"}
+
     def test_detuning_fit_without_weak_field_exits_one_before_any_row(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -609,6 +621,7 @@ grid_step_ghz = 0.02
         multiprocessing.get_start_method() != "fork",
         reason="the patched ceiling reaches pool workers only through fork",
     )
+    @pytest.mark.usefixtures("pool_gate_open")
     def test_map_warnings_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
         # every row needs a harmonic cutoff above 4, so each warns once
         monkeypatch.setattr(floquet, "CUTOFF_CEILING", 4)
@@ -628,6 +641,7 @@ grid_step_ghz = 0.02
         multiprocessing.get_start_method() != "fork",
         reason="the patched ceiling reaches pool workers only through fork",
     )
+    @pytest.mark.usefixtures("pool_gate_open")
     def test_map_strict_fails_each_row_for_any_worker_count(self, tmp_path, monkeypatch):
         # every row needs a harmonic cutoff above 4, so under --strict each
         # fails, and no finite row is left for a Delta1 fit

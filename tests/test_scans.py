@@ -80,6 +80,57 @@ MAP_AXIS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
 MAP_GRID = np.arange(-40, 41) * 0.25
 
 
+@pytest.fixture()
+def pools(monkeypatch):
+    """(max_workers, chunksize) of each pool a map runs; the pool maps in this process."""
+    started = []
+
+    class RecordingPool:  # starts no process
+        def __init__(self, max_workers=None):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            started.append((self.max_workers, chunksize))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def _chosen_cutoffs(monkeypatch):
+    """Each map's subsample cutoff per row (0 for a failed row), recorded as the maps run."""
+    chosen = []
+    choose = floquet._resolvent_cutoffs
+
+    def spy(rows, nu, starts=None, full_pass=False):
+        out = choose(rows, nu, starts, full_pass)
+        if starts is None:  # the subsample choice; a full-grid pass starts from its own
+            chosen.append([0 if value is None else value[0] for value, _issue in out])
+        return out
+
+    monkeypatch.setattr(floquet, "_resolvent_cutoffs", spy)
+    return chosen
+
+
+def _singular_subsample(monkeypatch, strong, delta2):
+    """Make the subsample sweep of the map row at ``delta2`` hit a singular block."""
+    bad_beat = 2.0 * np.pi * (delta2 - 2.0 * strong.rabi - strong.detuning)
+    batched = floquet._batched_resolvent
+
+    def singular_on_one_beat(rows, idx, nu, cutoff):
+        if nu.size <= floquet.SUBSAMPLE and any(rows[i][0].delta == bad_beat for i in idx):
+            raise SingularSystemError("resolvent solve hit a singular block")
+        return batched(rows, idx, nu, cutoff)
+
+    monkeypatch.setattr(floquet, "_batched_resolvent", singular_on_one_beat)
+
+
 class TestDetuningMap:
     def test_rows_without_weak_field_are_identical(self, emitter, strong):
         grid = np.round(np.arange(-90, 91) * 0.1, 1)
@@ -113,6 +164,7 @@ class TestDetuningMap:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", ["zero_beat", "singular_steady_state", "singular_resolvent"])
+    @pytest.mark.usefixtures("pool_gate_open")
     def test_a_failed_row_fails_alone(self, emitter, strong, monkeypatch, case, workers):
         base = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
         axis = MAP_AXIS.copy()
@@ -120,15 +172,7 @@ class TestDetuningMap:
             axis[2] = 2.0 * strong.rabi + strong.detuning
             error = "DegenerateDriveError"
         elif case == "singular_resolvent":  # the subsample sweep of one row's beat is singular
-            bad_beat = 2.0 * np.pi * (axis[2] - 2.0 * strong.rabi - strong.detuning)
-            batched = floquet._batched_resolvent
-
-            def singular_on_one_beat(rows, idx, nu, cutoff):
-                if nu.size <= floquet.SUBSAMPLE and any(rows[i][0].delta == bad_beat for i in idx):
-                    raise SingularSystemError("resolvent solve hit a singular block")
-                return batched(rows, idx, nu, cutoff)
-
-            monkeypatch.setattr(floquet, "_batched_resolvent", singular_on_one_beat)
+            _singular_subsample(monkeypatch, strong, axis[2])
             error = "SingularSystemError: resolvent"
         else:
             bad_beat = 2.0 * np.pi * (axis[2] - 2.0 * strong.rabi - strong.detuning)
@@ -159,30 +203,56 @@ class TestDetuningMap:
         with pytest.raises(ValidationError, match="workers must be at least 1"):
             detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=0)
 
-    def test_the_pool_never_outnumbers_the_rows(self, emitter, strong, monkeypatch):
+    @pytest.mark.usefixtures("pool_gate_open")
+    def test_the_pool_never_outnumbers_the_rows(self, emitter, strong, pools):
         # a process pool forks all its workers at the first task, so it gets
         # one per row at most, and a single row runs without one
-        pools = []
-
-        class RecordingPool:  # maps in this process and starts none
-            def __init__(self, max_workers=None):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *_exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         two = detuning_map(emitter, strong, 0.87, MAP_AXIS[:2], MAP_GRID, workers=10_000)
-        assert pools == [2] and two.failures == ()
+        assert [size for size, _chunk in pools] == [2] and two.failures == ()
         one = detuning_map(emitter, strong, 0.87, MAP_AXIS[:1], MAP_GRID, workers=10_000)
-        assert pools == [2] and one.failures == ()
+        assert [size for size, _chunk in pools] == [2] and one.failures == ()
         assert np.array_equal(one.intensity[0], two.intensity[0])
+
+    def test_a_map_below_the_gate_starts_no_pool(self, emitter, strong, monkeypatch, pools):
+        chosen = _chosen_cutoffs(monkeypatch)
+        result = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=2)
+        assert MAP_GRID.size * sum(chosen[0]) < floquet._POOL_MIN_WORK
+        assert pools == [] and result.processes == 1
+
+    @pytest.mark.parametrize(
+        ("workers", "processes", "chunksize"), [(2, 2, 3), (3, 3, 2), (9, 5, 1)]
+    )
+    def test_a_map_at_the_gate_gives_each_process_one_chunk(
+        self, emitter, strong, monkeypatch, pools, workers, processes, chunksize
+    ):
+        # the work is grid points times the rows' subsample cutoffs
+        chosen = _chosen_cutoffs(monkeypatch)
+        serial = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
+        work = MAP_GRID.size * sum(chosen[0])
+        monkeypatch.setattr(floquet, "_POOL_MIN_WORK", work + 1)
+        below = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=workers)
+        assert pools == [] and below.processes == 1
+        monkeypatch.setattr(floquet, "_POOL_MIN_WORK", work)
+        at = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=workers)
+        assert pools == [(processes, chunksize)] and at.processes == processes
+        for result in (below, at):
+            assert result.failures == ()
+            assert np.array_equal(result.intensity, serial.intensity)
+            assert np.array_equal(result.elastic_weight, serial.elastic_weight)
+            assert np.array_equal(result.cutoffs, serial.cutoffs)
+
+    def test_a_failed_row_adds_no_work(self, emitter, strong, monkeypatch, pools):
+        chosen = _chosen_cutoffs(monkeypatch)
+        detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID)
+        work = MAP_GRID.size * (sum(chosen[0]) - chosen[0][2])  # without row 2
+        _singular_subsample(monkeypatch, strong, MAP_AXIS[2])
+        monkeypatch.setattr(floquet, "_POOL_MIN_WORK", work + 1)
+        failed = detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=2)
+        assert [d2 for d2, _msg in failed.failures] == [MAP_AXIS[2]] and failed.cutoffs[2] == 0
+        assert pools == [] and failed.processes == 1
+        monkeypatch.setattr(floquet, "_POOL_MIN_WORK", work)
+        detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=2)
+        assert pools == [(2, 3)]  # the failed row is still one of the five rows to share
 
     def test_failed_rows_are_reported_not_raised(self, emitter, strong):
         grid = np.linspace(-2.0, 2.0, 41)
