@@ -14,115 +14,27 @@ Layers, roughly bottom to top:
 * :mod:`bifluor.dressed`  closed-form dressed-state analysis
 * :mod:`bifluor.scans`    maps, dip scans, degenerate-drive limits
 * :mod:`bifluor.cli`      the ``bifluor`` command
+
+Each public name is declared once, in its module's ``__all__``; the
+package re-exports those of every layer above but ``cli``.
 """
 
-from .bloch import (
-    BlochSystem,
-    MollowFit,
-    Spectrum,
-    build_bloch,
-    fit_mollow,
-    mollow_shape,
-    mollow_spectrum,
-    steady_state,
-)
-from .dressed import (
-    DoublyDressedLines,
-    central_line_amplitude,
-    doubly_dressed_lines,
-    dressed_populations,
-    subharmonic_shift,
-)
-from .emitter import (
-    TWO_PI,
-    BichromaticDrive,
-    DriveField,
-    EmitterParams,
-    derive_rates,
-)
-from .errors import (
-    BifluorError,
-    ConfigError,
-    CoverageError,
-    DegenerateDriveError,
-    FitFailure,
-    NumericalError,
-    NumericsWarning,
-    SingularSystemError,
-    TruncationError,
-    TruncationWarning,
-    UnphysicalDephasingError,
-    ValidationError,
-)
-from .floquet import (
-    PeriodicLiouvillian,
-    PeriodicState,
-    build_periodic_liouvillian,
-    emission_spectrum,
-    periodic_steady_state,
-)
-from .scans import (
-    CentralCurve,
-    EtalonFilter,
-    ScanResult2D,
-    SubharmonicScan,
-    central_intensity_curve,
-    degenerate_spectrum,
-    detuning_map,
-    fit_delta1,
-    plateau_edges,
-    subharmonic_axis,
-    subharmonic_scan,
-)
+from . import bloch, dressed, emitter, errors, floquet, scans
+from .bloch import *  # noqa: F403  (each layer's __all__ is its public interface)
+from .dressed import *  # noqa: F403
+from .emitter import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .floquet import *  # noqa: F403
+from .scans import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "TWO_PI",
-    "derive_rates",
-    "EmitterParams",
-    "DriveField",
-    "BichromaticDrive",
-    "BlochSystem",
-    "Spectrum",
-    "build_bloch",
-    "steady_state",
-    "mollow_spectrum",
-    "mollow_shape",
-    "MollowFit",
-    "fit_mollow",
-    "PeriodicLiouvillian",
-    "PeriodicState",
-    "build_periodic_liouvillian",
-    "periodic_steady_state",
-    "emission_spectrum",
-    "DoublyDressedLines",
-    "doubly_dressed_lines",
-    "central_line_amplitude",
-    "dressed_populations",
-    "subharmonic_shift",
-    "EtalonFilter",
-    "ScanResult2D",
-    "detuning_map",
-    "CentralCurve",
-    "central_intensity_curve",
-    "fit_delta1",
-    "SubharmonicScan",
-    "subharmonic_axis",
-    "subharmonic_scan",
-    "degenerate_spectrum",
-    "plateau_edges",
-    "BifluorError",
-    "ValidationError",
-    "UnphysicalDephasingError",
-    "DegenerateDriveError",
-    "CoverageError",
-    "ConfigError",
-    "NumericalError",
-    "SingularSystemError",
-    "TruncationError",
-    "FitFailure",
-    "TruncationWarning",
-    "NumericsWarning",
+    *emitter.__all__,
+    *bloch.__all__,
+    *floquet.__all__,
+    *dressed.__all__,
+    *scans.__all__,
+    *errors.__all__,
 ]

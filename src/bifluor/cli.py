@@ -1,6 +1,7 @@
 """Command line front end.
 
-Six subcommands map onto the library layers:
+Six subcommands, listed once in ``_COMMANDS`` with each one's handler,
+help text and flags, map onto the library layers:
 
 * ``mollow``        monochromatic spectrum from the Bloch equations
 * ``spectrum``      bichromatic spectrum plus the secular line list
@@ -18,14 +19,15 @@ with a harmonic cutoff (spectrum, map, subharmonics, degenerate) and
 --workers only on map, whose rows run their full-grid passes in a pool
 of at most that many processes once the map is large enough to pay for
 one (diag.map_processes records how many ran); metadata.txt records the
-flags its subcommand has.  Exit
-codes: 0 success, 1 validation or configuration problem, 2 numerical
-failure, 3 I/O failure.
+flags its subcommand has.  ``build_parser`` builds the parser once per
+process, however often ``main`` runs in it.  Exit codes: 0 success, 1
+validation or configuration problem, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -284,32 +286,27 @@ def _cmd_fit(args, cfg: ConfigFile):
     return result
 
 
+# name -> (handler, help, has a harmonic cutoff, runs rows in a process pool)
 _COMMANDS = {
-    "mollow": _cmd_mollow,
-    "spectrum": _cmd_spectrum,
-    "map": _cmd_map,
-    "subharmonics": _cmd_subharmonics,
-    "degenerate": _cmd_degenerate,
-    "fit": _cmd_fit,
+    "mollow": (_cmd_mollow, "monochromatic emission spectrum", False, False),
+    "spectrum": (_cmd_spectrum, "bichromatic emission spectrum and line list", True, False),
+    "map": (_cmd_map, "spectra versus the dressed detuning Delta2", True, True),
+    "subharmonics": (_cmd_subharmonics, "etalon-filtered subharmonic dip scan", True, False),
+    "degenerate": (_cmd_degenerate, "equal-frequency two-field spectrum", True, False),
+    "fit": (_cmd_fit, "fit Rabi splitting and T2 to a measured spectrum", False, False),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``bifluor`` parser, built from _COMMANDS once per process."""
     parser = argparse.ArgumentParser(
         prog="bifluor",
         description="Resonance fluorescence of a driven two-level emitter",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # (name, help, has a harmonic cutoff, runs rows in a process pool)
-    for name, help_text, cutoff, pool in (
-        ("mollow", "monochromatic emission spectrum", False, False),
-        ("spectrum", "bichromatic emission spectrum and line list", True, False),
-        ("map", "spectra versus the dressed detuning Delta2", True, True),
-        ("subharmonics", "etalon-filtered subharmonic dip scan", True, False),
-        ("degenerate", "equal-frequency two-field spectrum", True, False),
-        ("fit", "fit Rabi splitting and T2 to a measured spectrum", False, False),
-    ):
+    for name, (_, help_text, cutoff, pool) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="key=value run configuration")
         p.add_argument("--out", default=".", help="output directory (default: .)")
@@ -343,7 +340,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             if getattr(args, "strict", False):  # a truncation fails instead of warning
                 warnings.simplefilter("error", TruncationWarning)
-            extra = _COMMANDS[args.command](args, cfg)
+            extra = _COMMANDS[args.command][0](args, cfg)
         notes = [f"{w.category.__name__}: {w.message}" for w in caught]
         for note in notes:
             print(f"warning: {note}", file=sys.stderr)

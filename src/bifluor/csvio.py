@@ -1,9 +1,10 @@
 """CSV and key-value writers for scan products.
 
 All writers are atomic (temp file in the target directory, then
-os.replace) and write every value by one rule, ``_fmt``, so identical
-results produce byte-identical files regardless of how they were
-computed.  ``cli`` writes run metadata with ``_keyvalue_text``.
+os.replace) and write every value as ``str`` of its Python scalar
+(``_fmt``, or ``tolist()`` for a whole array), so identical results
+produce byte-identical files regardless of how they were computed.
+``cli`` writes run metadata with ``_keyvalue_text``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def _keyvalue_text(entries: dict) -> str:
 
 
 def _write_table(path, header: str, *columns) -> None:
-    """The header line, then row i of the columns; arrays reach _fmt through tolist()."""
-    cells = [map(_fmt, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
+    """The header line, then row i of the columns; an array's tolist() is already Python scalars."""
+    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else map(_fmt, c) for c in columns]
     atomic_write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
 
 

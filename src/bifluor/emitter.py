@@ -72,12 +72,12 @@ class EmitterParams:
     @property
     def gamma_sp(self) -> float:
         """Spontaneous emission rate, 1/ns."""
-        return 1000.0 / self.t1
+        return derive_rates(self.t1, self.t2)[0]
 
     @property
     def gamma_pd(self) -> float:
         """Pure dephasing rate, 1/ns."""
-        return 1000.0 / self.t2 - 500.0 / self.t1
+        return derive_rates(self.t1, self.t2)[1]
 
     @property
     def t1_ns(self) -> float:

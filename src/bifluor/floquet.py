@@ -527,10 +527,10 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     x0 = np.empty((3, hub.size), dtype=complex)
     x0[_HALVES[:, 0]], x0[_H] = spokes, hub
     if harmonics:  # outward from k = 0, both halves at once
-        x, out = (spokes, None, hub), []
-        for step in reversed(steps):
-            out.append(x := outward(step, x[2], x[0]))
-        out = np.array(out)  # (k - 1, coordinate, half, nu); each _HALVES row is its own inverse
+        x, out = (spokes, None, hub), np.empty((cutoff, 3, *shape), dtype=complex)
+        for k, step in enumerate(reversed(steps)):
+            out[k] = x = outward(step, x[2], x[0])
+        # out is (k - 1, coordinate, half, nu); each _HALVES row is its own inverse
         xs = np.concatenate([out[::-1, _HALVES[1], 1], x0[None], out[:, _HALVES[0], 0]])
     if not np.all(np.isfinite(xs if harmonics else x0)):
         raise SingularSystemError("resolvent solve hit a singular block")

@@ -300,6 +300,12 @@ def _orders(orders) -> tuple[int, ...]:
     return orders
 
 
+def _subharmonic(rabi: float, n: int) -> tuple[float, float]:
+    """The bare order-n subharmonic 2 Omega / n and its gap to 2 Omega / (n + 1)."""
+    base = 2.0 * rabi / n
+    return base, base - 2.0 * rabi / (n + 1)
+
+
 def subharmonic_axis(
     rabi: float,
     orders=(1, 2, 3, 4, 5),
@@ -318,9 +324,8 @@ def subharmonic_axis(
         raise ValidationError("points_per_order must be at least 1")
     points = []
     for n in _orders(orders):
-        base = 2.0 * rabi / n
+        base, gap_next = _subharmonic(rabi, n)
         shift = subharmonic_shift(n, rabi, alpha_squared)
-        gap_next = base - 2.0 * rabi / (n + 1)
         lo_pad = min(0.12 * rabi / 2.9 + 0.02, 0.35 * gap_next)
         hi_pad = min(shift + 0.15 * rabi / 2.9, 0.55 * gap_next)
         window = np.linspace(base - lo_pad, base + hi_pad, points_per_order)
@@ -436,10 +441,9 @@ def subharmonic_scan(
     if delta3_values.ndim != 1 or delta3_values.size < 5:
         raise ValidationError("delta3_values must hold at least five points")
     orders = _orders(orders)
-    bases = {n: 2.0 * strong.rabi / n for n in orders}
-    gaps = {n: bases[n] - 2.0 * strong.rabi / (n + 1) for n in orders}
-    for n, base in bases.items():
-        if not np.any((-delta3_values >= base - 1e-9) & (-delta3_values <= base + gaps[n])):
+    windows = {n: _subharmonic(strong.rabi, n) for n in orders}
+    for n, (base, gap_next) in windows.items():
+        if not np.any((-delta3_values >= base - 1e-9) & (-delta3_values <= base + gap_next)):
             raise CoverageError(f"axis does not reach the order-{n} subharmonic at {base:g} GHz")
     g = 0.5 * float(np.sqrt(alpha_squared)) * strong.rabi
     intensity, cutoffs, tail_fraction, failures = _filtered_rows(
@@ -448,7 +452,7 @@ def subharmonic_scan(
 
     dips = []
     for n in orders:
-        base, gap_next = bases[n], gaps[n]
+        base, gap_next = windows[n]
         lo, hi = base - 0.5 * gap_next, base + 0.7 * gap_next
         mask = (-delta3_values >= lo) & (-delta3_values <= hi)
         x = -delta3_values[mask]

@@ -878,6 +878,23 @@ grid_step_ghz = 0.02
         assert args.strict is True
         assert getattr(args, "workers", None) == (2 if command == "map" else None)
 
+    def test_one_parser_serves_every_run_without_leaking_flags(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        runs = [
+            ("spectrum", SPECTRUM_CFG, ["--strict"]),
+            ("spectrum", SPECTRUM_CFG, []),
+            ("map", MAP_CFG, ["--workers", "2"]),
+            ("mollow", MOLLOW_CFG, []),
+        ]
+        metas = []
+        for i, (command, text, flags) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            cfg = write_cfg(tmp_path, text, name=f"run{i}.ini")
+            assert cli.main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+            metas.append(read_keyvalue(out / "metadata.txt"))
+        assert [meta.get("strict") for meta in metas] == ["True", "False", "False", None]
+        assert [meta.get("workers") for meta in metas] == [None, None, "2", None]
+
     # keys each subcommand writes into metadata.txt whose values are numbers
     METADATA_NUMBERS = {
         "mollow": ("n_warnings",),

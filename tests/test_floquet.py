@@ -351,6 +351,17 @@ def test_resolvent_results_do_not_share_memory_across_calls(emitter, drive):
         assert np.array_equal(before, after)
 
 
+def test_at_cutoff_zero_the_only_harmonic_is_x0(emitter, drive):
+    pl, state = steady(emitter, drive)
+    seed, nu = floquet._incoherent_seed(state, 0), np.array([0.0])
+    assert seed.shape == (1, 3)
+    xs = floquet._sambe_resolvent(pl, seed, nu, 0, harmonics=True)
+    x0, edge = floquet._sambe_resolvent(pl, seed, nu, 0)
+    assert xs.shape == (1, 3, 1)
+    assert np.array_equal(xs[0], x0)
+    assert np.array_equal(edge, [0.0])
+
+
 # --- invariants of the resolvent engine, over emitter and drive parameters
 
 lifetimes = st.tuples(st.floats(200.0, 1000.0), st.floats(0.3, 1.0)).map(
