@@ -287,20 +287,21 @@ class MollowFit:
 def fit_mollow(
     freq,
     intensity,
-    guess: tuple[float, float, float, float],
+    guess: tuple[float, float],
     t1_ps: float,
     detuning: float = 0.0,
 ) -> MollowFit:
     """Fit a Mollow-triplet model to sampled data.
 
-    ``guess`` is (omega, t2_ps, amplitude, offset).  t1 and the drive
-    detuning are held fixed; the model is amplitude * mollow_shape +
-    offset with the half Rabi clamped at 0 and t2 into [1e-3, 2 t1] ps.
-    The starting half Rabi should be within about 50% of the true
-    value; outside that basin the damped Gauss-Newton search may settle
-    elsewhere.  A fit ending on a lower clamp, where the model loses that
-    parameter, reports ``converged=False`` (t2 = 2 t1 is the radiative
-    limit and counts as converged).  Non-finite samples or guesses raise
+    The model is amplitude * mollow_shape + offset at fixed t1 and drive
+    detuning, with the half Rabi clamped at 0 and t2 into [1e-3, 2 t1]
+    ps.  ``guess`` is (omega, t2_ps), omega > 0; amplitude and offset
+    start at their least-squares values for the shape there.  Within
+    about 50% of the true half Rabi the damped Gauss-Newton search
+    converges; outside that basin it may settle elsewhere.  A fit ending
+    on a lower clamp, where the model loses that parameter, reports
+    ``converged=False`` (t2 = 2 t1 is the radiative limit and counts as
+    converged).  Non-finite samples or guesses, and omega <= 0, raise
     ValidationError (naming the first bad sample); FitFailure (with the
     last iterate) after 200 iterations or when no step is accepted.
     """
@@ -317,24 +318,27 @@ def fit_mollow(
             f"freq and intensity must be finite; sample {i} has "
             f"freq={freq[i]!r}, intensity={data[i]!r}"
         )
-    guess = np.asarray(guess, dtype=float)
-    if not np.all(np.isfinite(guess)):
-        raise ValidationError(f"guess must be finite, got {tuple(guess)!r}")
+    guess = np.asarray(guess, dtype=float).ravel()
+    if guess.size != 2 or not (np.all(np.isfinite(guess)) and guess[0] > 0.0):
+        raise ValidationError(f"guess must be finite (omega, t2_ps), omega > 0: {tuple(guess)!r}")
     t2_min, t2_max = 1e-3, 2.0 * t1_ps
-    # t1 and the detuning are fixed, so they are validated once here; the
-    # residual clamps each member to rabi >= 0 and t2 in [1e-3, 2 t1] ps
+    # t1 and the detuning are fixed, so they are validated once here
     t1_ns = EmitterParams(t1=t1_ps, t2=t2_max).t1_ns
     DriveField(detuning=detuning, rabi=0.0)
     nu = TWO_PI * (freq - detuning)
 
-    def residual(P):
+    def shapes(P):
         rabis = np.maximum(P[:, 0], 0.0)
         t2_ns = np.clip(P[:, 1], t2_min, t2_max) / 1000.0
         den, num, _ = _resolvent(t1_ns, t2_ns, detuning, rabis)
-        shapes = _resolvent_sum(nu, den, num, np.eye(len(P)))[0]
-        return P[:, 2:3] * shapes.T + P[:, 3:4] - data
+        return _resolvent_sum(nu, den, num, np.eye(len(P)))[0].T
 
-    result = gauss_newton(residual, guess)
+    def residual(P):
+        return P[:, 2:3] * shapes(P) + P[:, 3:4] - data
+
+    basis = np.stack([shapes(guess[None])[0], np.ones_like(data)], axis=1)
+    linear = np.linalg.lstsq(basis, data, rcond=None)[0]
+    result = gauss_newton(residual, np.concatenate([guess, linear]))
     p = result.params
     n, k = freq.size, p.size
     jtj = result.jacobian.T @ result.jacobian

@@ -45,12 +45,13 @@ from .config import (
     build_strong_drive,
     load_config,
 )
-from .dressed import doubly_dressed_lines
+from .dressed import ALPHA_SQUARED, doubly_dressed_lines
 from .emitter import EmitterParams, DriveField
 from .errors import BifluorError, ConfigError, TruncationWarning
 from .floquet import build_periodic_liouvillian, emission_spectrum, periodic_steady_state
 from .scans import (
     ETALON_ORDERS,
+    SUBHARMONIC_ORDERS,
     EtalonFilter,
     central_intensity_curve,
     degenerate_spectrum,
@@ -178,8 +179,8 @@ def _cmd_map(args, cfg: ConfigFile):
 def _cmd_subharmonics(args, cfg: ConfigFile):
     emitter = build_emitter(cfg)
     strong = build_strong_drive(cfg)
-    alpha_sq = cfg.get_float("scan.alpha_squared", 0.359)
-    orders = cfg.get_int_list("scan.orders", (1, 2, 3, 4, 5))
+    alpha_sq = cfg.get_float("scan.alpha_squared", ALPHA_SQUARED)
+    orders = cfg.get_int_list("scan.orders", SUBHARMONIC_ORDERS)
     etalon = EtalonFilter(
         center_ghz=cfg.get_float("etalon.center_ghz", 0.0),
         fsr_ghz=cfg.get_float("etalon.fsr_ghz"),
@@ -252,14 +253,11 @@ def _cmd_fit(args, cfg: ConfigFile):
     detuning = cfg.get_float("fit.detuning_ghz", 0.0)
     rabi2_guess = cfg.get_float("fit.rabi2_guess_ghz")
     t2_guess = cfg.get_float("fit.t2_guess_ps")
-    amp_default = float(np.max(intensity) - np.min(intensity))
-    amp_guess = cfg.get_float("fit.amplitude_guess", amp_default)
-    offset_guess = cfg.get_float("fit.offset_guess", float(np.min(intensity)))
     cfg.raise_on_unused()
     fit = bloch.fit_mollow(
         freq,
         intensity,
-        guess=(0.5 * rabi2_guess, t2_guess, amp_guess, offset_guess),
+        guess=(0.5 * rabi2_guess, t2_guess),
         t1_ps=t1,
         detuning=detuning,
     )

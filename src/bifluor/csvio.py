@@ -89,13 +89,12 @@ def write_spectrum(path, spectrum) -> None:
 
 def read_spectrum(path):
     """Read a freq_ghz,intensity CSV; returns (freq, intensity)."""
-    with open(path) as handle:
-        lines = [ln.strip() for ln in handle]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0].split(",")[:2] != _SPECTRUM_HEADER.split(","):
+    with open(path) as handle:  # (line number in the file, text) of each non-blank line
+        lines = [(n, text) for n, ln in enumerate(handle, start=1) if (text := ln.strip())]
+    if not lines or lines[0][1].split(",")[:2] != _SPECTRUM_HEADER.split(","):
         raise ValidationError(f"{path}: expected a {_SPECTRUM_HEADER} header")
     freq, intensity = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise ValidationError(f"{path}:{lineno}: expected two columns")

@@ -62,6 +62,8 @@ __all__ = [
     "subharmonic_shift",
 ]
 
+ALPHA_SQUARED = 0.359  # the paper's weak-to-strong power ratio in the subharmonic scans
+
 
 @dataclass(frozen=True)
 class LineRecord:
@@ -265,7 +267,7 @@ def dressed_populations(
     return float(p_plus / total), float(p_minus / total)
 
 
-def subharmonic_shift(n: int, rabi: float, alpha_squared: float = 0.359) -> float:
+def subharmonic_shift(n: int, rabi: float, alpha_squared: float = ALPHA_SQUARED) -> float:
     """Shift of the n-photon subharmonic resonance, GHz.
 
     The weak-field resonances near 2 Omega / n are displaced by the ac

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bloch, floquet
-from .dressed import _central_weight, subharmonic_shift
+from .dressed import ALPHA_SQUARED, _central_weight, subharmonic_shift
 from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
 from .errors import BifluorError, CoverageError, ValidationError
 from .fitting import gauss_newton
@@ -46,6 +46,7 @@ __all__ = [
 _WINDOW_GHZ = 0.5  # half width of the central-line window of central_intensity_curve
 _N_PHASES = 256  # relative phases in the phase-averaged degenerate spectrum
 ETALON_ORDERS = 20  # etalon orders solved on each side of the centre one
+SUBHARMONIC_ORDERS = (1, 2, 3, 4, 5)  # the orders of the paper's subharmonic scan
 
 
 @dataclass(frozen=True)
@@ -231,12 +232,13 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     The curve minimum sits where the weak field crosses the dressed
     resonance, which tracks Delta1; a two-parameter (detuning, scale)
     fit of the secular central weight against the measured curve pins
-    it down.  Initialized from a parabola through the curve minimum.
-    Without a weak field the curve does not depend on Delta1, so a
-    ``weak_rabi`` of zero or less raises ValidationError.
+    it down from a parabola's vertex at the curve minimum, the scale from
+    exact least squares there.  The curve does not depend on Delta1
+    without a weak field, nor the model on anything without a strong
+    one: either Rabi frequency at 0 or less raises ValidationError.
     """
-    if not weak_rabi > 0.0:
-        raise ValidationError("fitting Delta1 needs a weak field: the curve is flat without one")
+    if not (weak_rabi > 0.0 and strong_rabi > 0.0):
+        raise ValidationError("fitting Delta1 needs a weak field and a strong one")
     good = np.isfinite(curve.intensity)
     d2 = curve.delta2[good]
     y = curve.intensity[good]
@@ -246,19 +248,15 @@ def fit_delta1(curve: CentralCurve, strong_rabi: float, weak_rabi: float) -> Del
     vertex = _vertex(d2, y, i0)
     d1_init = d2[i0] if vertex is None else vertex
 
-    def model(p):
-        d1, scale = p
+    def weights(d1):
         delta = d2 - 2.0 * strong_rabi - d1  # beat Delta3 - Delta1 at each point
-        return scale * _central_weight(strong_rabi, d1, weak_rabi, delta)
-
-    w0 = model((d1_init, 1.0))
-    top = float(np.max(w0))
-    scale_init = float(np.max(y) / top) if top > 0.0 else 1.0
+        return _central_weight(strong_rabi, d1, weak_rabi, delta)
 
     def residual(P):
-        return np.array([model(p) for p in P]) - y
+        return P[:, 1:2] * weights(P[:, 0:1]) - y
 
-    result = gauss_newton(residual, np.array([d1_init, scale_init]))
+    w0 = weights(d1_init)
+    result = gauss_newton(residual, np.array([d1_init, (w0 @ y) / (w0 @ w0)]))
     return Delta1Fit(
         delta1=float(result.params[0]),
         scale=float(result.params[1]),
@@ -308,9 +306,9 @@ def _subharmonic(rabi: float, n: int) -> tuple[float, float]:
 
 def subharmonic_axis(
     rabi: float,
-    orders=(1, 2, 3, 4, 5),
+    orders=SUBHARMONIC_ORDERS,
     points_per_order: int = 16,
-    alpha_squared: float = 0.359,
+    alpha_squared: float = ALPHA_SQUARED,
 ) -> np.ndarray:
     """Weak-detuning axis clustered around the expected dips.
 
@@ -417,8 +415,8 @@ def subharmonic_scan(
     strong: DriveField,
     delta3_values,
     etalon: EtalonFilter,
-    alpha_squared: float = 0.359,
-    orders=(1, 2, 3, 4, 5),
+    alpha_squared: float = ALPHA_SQUARED,
+    orders=SUBHARMONIC_ORDERS,
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
@@ -464,9 +462,8 @@ def subharmonic_scan(
         best = int(np.argmin(y)) if y.size else 0
         if not 0 < best < y.size - 1:  # lowest at a window edge: no dip
             continue
-        vertex = _vertex(x, y, best)
-        inside = vertex is not None and x[best - 1] <= vertex <= x[best + 1]
-        pos = vertex if inside else x[best]
+        vertex = _vertex(x, y, best)  # at an argmin, inside [x[best - 1], x[best + 1]]
+        pos = x[best] if vertex is None else vertex
         dips.append(
             DipRecord(
                 order=n,

@@ -21,6 +21,7 @@ from bifluor.bloch import (
 )
 from bifluor.emitter import TWO_PI, DriveField, EmitterParams
 from bifluor.errors import CoverageError, ValidationError
+from bifluor.fitting import GaussNewtonResult
 
 
 def saturation_population(emitter, rabi):
@@ -134,23 +135,50 @@ def test_fit_recovers_parameters_from_noisy_data(emitter):
     spec = mollow_spectrum(emitter, DriveField(detuning=0.0, rabi=2.9), grid)
     rng = np.random.default_rng(0)
     noisy = spec.intensity + 0.01 * spec.intensity.max() * rng.standard_normal(grid.size)
-    fit = fit_mollow(grid, noisy, guess=(2.5, 380.0, float(noisy.max()), 0.0), t1_ps=390.0)
+    fit = fit_mollow(grid, noisy, guess=(2.5, 380.0), t1_ps=390.0)
     assert fit.converged
     assert fit.rabi2 == pytest.approx(5.8, abs=0.02)
     assert fit.t2_ps == pytest.approx(424.0, rel=0.02)
     assert fit.std_errors.shape == (4,)
 
 
-def test_fit_on_a_lower_clamp_is_not_converged():
-    # from this guess the search collapses onto the clamps half Rabi 0 and
-    # t2 1e-3 ps, where the model no longer depends on either parameter
+def test_fit_from_a_distant_guess_finds_the_true_parameters():
+    # with the amplitude and offset started at their least-squares values
+    # the search no longer collapses onto the lower clamps from here
     em = EmitterParams(t1=390.0, t2=424.0)
     freq = np.linspace(-14.0, 14.0, 701)
     data = 3.0 * mollow_shape(em, DriveField(detuning=-1.0, rabi=1.0), freq) + 0.1
-    guess = (1.3, 500.0, float(data.max()), 0.0)
-    fit = fit_mollow(freq, data, guess=guess, t1_ps=390.0, detuning=-1.0)
-    assert fit.omega == 0.0 and fit.t2_ps == 1e-3
-    assert fit.converged is False
+    fit = fit_mollow(freq, data, guess=(1.3, 500.0), t1_ps=390.0, detuning=-1.0)
+    assert fit.converged is True
+    assert fit.omega == pytest.approx(1.0, rel=1e-6)
+    assert fit.t2_ps == pytest.approx(424.0, rel=1e-6)
+    assert (fit.amplitude, fit.offset) == pytest.approx((3.0, 0.1), rel=1e-6)
+
+
+def ending_at(omega, t2_ps):
+    """A gauss_newton stand-in that converges at (omega, t2_ps) and the start's linear part."""
+
+    def search(residual_fn, p0):
+        p = np.array([omega, t2_ps, *p0[2:]])
+        r = residual_fn(p[None])[0]
+        return GaussNewtonResult(p, r, np.eye(r.size, p.size), float(r @ r), 1, True)
+
+    return search
+
+
+def test_fit_on_a_lower_clamp_is_not_converged():
+    # a lower clamp loses its parameter: half Rabi 0 has no triplet, t2
+    # 1e-3 ps no coherence; t2 = 2 t1 is the radiative limit
+    em = EmitterParams(t1=390.0, t2=424.0)
+    freq = np.linspace(-14.0, 14.0, 701)
+    data = 3.0 * mollow_shape(em, DriveField(detuning=-1.0, rabi=1.0), freq) + 0.1
+    ends = [(0.0, 424.0), (-0.5, 424.0), (1.0, 1e-3), (1.0, -5.0), (1.0, 780.0), (1.0, 900.0)]
+    for (omega, t2_ps), converged in zip(ends, [False] * 4 + [True] * 2):
+        with mock.patch("bifluor.bloch.gauss_newton", ending_at(omega, t2_ps)):
+            fit = fit_mollow(freq, data, guess=(1.3, 500.0), t1_ps=390.0, detuning=-1.0)
+        assert fit.omega == max(omega, 0.0)
+        assert fit.t2_ps == min(max(t2_ps, 1e-3), 780.0)
+        assert fit.converged is converged
 
 
 def test_radiatively_limited_fit_is_converged():
@@ -158,7 +186,7 @@ def test_radiatively_limited_fit_is_converged():
     em = EmitterParams(t1=390.0, t2=780.0)
     freq = np.linspace(-14.0, 14.0, 701)
     data = 2.0 * mollow_shape(em, DriveField(detuning=0.0, rabi=2.9), freq)
-    fit = fit_mollow(freq, data, guess=(2.5, 700.0, float(data.max()), 0.0), t1_ps=390.0)
+    fit = fit_mollow(freq, data, guess=(2.5, 700.0), t1_ps=390.0)
     assert fit.converged is True
     assert fit.rabi2 == pytest.approx(5.8, rel=1e-6)
     assert fit.t2_ps == pytest.approx(780.0, rel=1e-6)
@@ -166,9 +194,9 @@ def test_radiatively_limited_fit_is_converged():
 
 def test_fit_validates_input_shapes():
     with pytest.raises(ValidationError):
-        fit_mollow(np.arange(8.0), np.arange(8.0), guess=(1, 400, 1, 0), t1_ps=390.0)
+        fit_mollow(np.arange(8.0), np.arange(8.0), guess=(1, 400), t1_ps=390.0)
     with pytest.raises(ValidationError):
-        fit_mollow(np.arange(20.0), np.arange(19.0), guess=(1, 400, 1, 0), t1_ps=390.0)
+        fit_mollow(np.arange(20.0), np.arange(19.0), guess=(1, 400), t1_ps=390.0)
 
 
 def test_fit_rejects_non_finite_samples():
@@ -176,29 +204,52 @@ def test_fit_rejects_non_finite_samples():
     data = np.ones(40)
     data[[7, 12]] = np.nan
     with pytest.raises(ValidationError, match="sample 7 "):
-        fit_mollow(freq, data, guess=(1, 400, 1, 0), t1_ps=390.0)
+        fit_mollow(freq, data, guess=(1, 400), t1_ps=390.0)
     freq[3] = np.inf
     with pytest.raises(ValidationError, match="sample 3 "):
-        fit_mollow(freq, data, guess=(1, 400, 1, 0), t1_ps=390.0)
+        fit_mollow(freq, data, guess=(1, 400), t1_ps=390.0)
     with pytest.raises(ValidationError, match="guess must be finite"):
-        fit_mollow(np.arange(20.0), np.ones(20), guess=(np.nan, 400, 1, 0), t1_ps=390.0)
+        fit_mollow(np.arange(20.0), np.ones(20), guess=(np.nan, 400), t1_ps=390.0)
+
+
+@pytest.mark.parametrize("guess", [(1.0, 400.0, 1.0, 0.0), (1.0,), (0.0, 400.0), (-1.0, 400.0)])
+def test_fit_guess_is_a_half_rabi_above_zero_and_a_t2(guess):
+    # a half Rabi of 0 or less has no incoherent spectrum to scale
+    with pytest.raises(ValidationError, match="guess must be finite"):
+        fit_mollow(np.linspace(-9.0, 9.0, 40), np.ones(40), guess=guess, t1_ps=390.0)
 
 
 class _Captured(Exception):
     pass
 
 
-def fit_residual(freq, data, t1_ps, detuning):
-    """The stacked residual that fit_mollow hands to gauss_newton."""
+def search_call(freq, data, t1_ps, detuning, guess=(1.0, 1.0)):
+    """The stacked residual and the start that fit_mollow hands to gauss_newton."""
     seen = []
 
     def capture(residual_fn, p0, **kwargs):
-        seen.append(residual_fn)
+        seen.append((residual_fn, p0))
         raise _Captured
 
     with mock.patch("bifluor.bloch.gauss_newton", capture), pytest.raises(_Captured):
-        fit_mollow(freq, data, guess=(1.0, 1.0, 1.0, 0.0), t1_ps=t1_ps, detuning=detuning)
+        fit_mollow(freq, data, guess=guess, t1_ps=t1_ps, detuning=detuning)
     return seen[0]
+
+
+@pytest.mark.parametrize("guess", [(1.3, 500.0), (0.6, 300.0), (2.5, 1e-4)])
+def test_fit_starts_amplitude_and_offset_at_least_squares(guess):
+    em = EmitterParams(t1=390.0, t2=424.0)
+    freq = np.linspace(-14.0, 14.0, 701)
+    noise = 0.01 * np.random.default_rng(3).standard_normal(freq.size)
+    data = 3.0 * mollow_shape(em, DriveField(detuning=-1.0, rabi=1.0), freq) + 0.1 + noise
+    _, p0 = search_call(freq, data, 390.0, -1.0, guess)
+    at_guess = EmitterParams(t1=390.0, t2=max(guess[1], 1e-3))  # t2 is clamped at 1e-3 ps
+    shape = mollow_shape(at_guess, DriveField(detuning=-1.0, rabi=guess[0]), freq)
+    basis = np.stack([shape, np.ones_like(shape)], axis=1)
+    amplitude, offset = np.linalg.lstsq(basis, data, rcond=None)[0]
+    assert np.array_equal(p0[:2], guess)
+    assert p0[2] == pytest.approx(amplitude, rel=1e-9)
+    assert p0[3] == pytest.approx(offset, abs=1e-9 * abs(amplitude) * shape.max())
 
 
 @settings(max_examples=50, deadline=None)
@@ -220,7 +271,7 @@ def fit_residual(freq, data, t1_ps, detuning):
 def test_stacked_fit_residual_matches_per_member_shapes(t1, detuning, members):
     grid = np.linspace(detuning - 15.0, detuning + 15.0, 241)
     data = 0.01 * np.cos(grid)
-    residual = fit_residual(grid, data, t1, detuning)
+    residual, _ = search_call(grid, data, t1, detuning)
     P = np.array([(rabi, ratio * 2.0 * t1, amp, off) for rabi, ratio, amp, off in members])
     got = residual(P)
     assert got.shape == (len(members), grid.size)

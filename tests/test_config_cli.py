@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bifluor
-from bifluor import cli, csvio, floquet
+from bifluor import bloch, cli, csvio, floquet
 from bifluor.bloch import Spectrum, mollow_shape, mollow_spectrum
 from bifluor.config import (
     build_bichromatic_drive,
@@ -24,6 +24,7 @@ from bifluor.config import (
 from bifluor.dressed import doubly_dressed_lines
 from bifluor.emitter import DriveField
 from bifluor.errors import ConfigError, ValidationError
+from bifluor.fitting import GaussNewtonResult
 from bifluor.scans import DipRecord, ScanResult2D
 
 
@@ -189,6 +190,10 @@ class TestCsvIO:
         words.write_text("freq_ghz,intensity\n1,2\nx,3\n")
         with pytest.raises(ValidationError):
             csvio.read_spectrum(words)
+        gaps = tmp_path / "e.csv"  # blank lines still count: the bad value is on line 5
+        gaps.write_text("freq_ghz,intensity\n\n1.0,2.0\n\n2.0,x\n")
+        with pytest.raises(ValidationError, match=r"e\.csv:5: "):
+            csvio.read_spectrum(gaps)
 
     def test_map_long_format(self, tmp_path):
         result = ScanResult2D(
@@ -520,7 +525,7 @@ grid_step_ghz = 0.02
         model_rows = (out / "fit_model.csv").read_text().splitlines()
         assert len(model_rows) == 722
 
-    def test_fit_on_a_lower_clamp_reports_not_converged(self, tmp_path, emitter):
+    def test_fit_on_a_lower_clamp_reports_not_converged(self, tmp_path, emitter, monkeypatch):
         freq = np.linspace(-14.0, 14.0, 701)
         model = mollow_shape(emitter, DriveField(detuning=-1.0, rabi=1.0), freq)
         data = tmp_path / "measured.csv"
@@ -528,13 +533,31 @@ grid_step_ghz = 0.02
         cfg = write_cfg(
             tmp_path,
             "[emitter]\nt1_ps = 390\n\n[fit]\ndetuning_ghz = -1\nrabi2_guess_ghz = 2.6\n"
-            f"t2_guess_ps = 500\namplitude_guess = {float(3.0 * model.max() + 0.1)!r}\n"
-            "offset_guess = 0\n",
+            "t2_guess_ps = 500\n",
         )
-        out = tmp_path / "out"
-        code = cli.main(["fit", "--config", cfg, "--data", str(data), "--out", str(out)])
-        assert code == 0
-        assert read_keyvalue(out / "fit_result.txt")["converged"] == "False"
+        ends = {(0.0, 424.0): "False", (1.0, 1e-3): "False", (1.0, 780.0): "True"}
+        for (omega, t2_ps), converged in ends.items():
+
+            def search(residual_fn, p0):  # converges at (omega, t2_ps)
+                p = np.array([omega, t2_ps, *p0[2:]])
+                r = residual_fn(p[None])[0]
+                return GaussNewtonResult(p, r, np.eye(r.size, 4), float(r @ r), 1, True)
+
+            monkeypatch.setattr(bloch, "gauss_newton", search)
+            out = tmp_path / f"out-{omega}-{t2_ps}"
+            code = cli.main(["fit", "--config", cfg, "--data", str(data), "--out", str(out)])
+            assert code == 0
+            assert read_keyvalue(out / "fit_result.txt")["converged"] == converged
+
+    def test_fit_guesses_only_the_nonlinear_parameters(self, tmp_path, emitter, strong, capsys):
+        data = tmp_path / "measured.csv"
+        csvio.write_spectrum(data, mollow_spectrum(emitter, strong, np.linspace(-9, 9, 181)))
+        fit = "[emitter]\nt1_ps = 390\n\n[fit]\nrabi2_guess_ghz = 5\nt2_guess_ps = 380\n"
+        for key in ("amplitude_guess", "offset_guess"):
+            cfg = write_cfg(tmp_path, fit + f"{key} = 1\n")
+            args = ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
+            assert cli.main(args) == 1
+            assert f"unknown key fit.{key}" in capsys.readouterr().err
 
     def test_fit_rejects_non_finite_data_exits_one(self, tmp_path, emitter, strong, capsys):
         grid = np.linspace(-9.0, 9.0, 181)

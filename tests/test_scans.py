@@ -327,6 +327,9 @@ class TestCentralCurveFit:
         result = detuning_map(emitter, strong, 0.0, np.linspace(-1, 1, 5), grid)
         with pytest.raises(ValidationError, match="needs a weak field"):
             fit_delta1(central_intensity_curve(result), 2.9, 0.0)
+        # nor may one claim it from a model that is 0 without the strong field
+        with pytest.raises(ValidationError, match="and a strong one"):
+            fit_delta1(central_intensity_curve(result), 0.0, 0.87)
 
     def test_curve_window_validation(self, emitter, strong):
         # a 0.6 GHz grid puts one point inside the +-0.5 GHz window
@@ -343,6 +346,25 @@ class TestCentralCurveFit:
         )
         with pytest.raises(ValidationError):
             fit_delta1(curve, 2.9, 0.87)
+
+
+# intensities are 0 or at least 1e-200, so their differences are not subnormal;
+# ties and near-flat triples are drawn on purpose
+intensities = st.one_of(
+    st.just(0.0), st.floats(1e-200, 1.0), st.sampled_from([0.25, 0.5]), st.floats(0.5, 0.5 + 1e-12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-10.0, 10.0), st.lists(st.tuples(st.floats(1e-3, 1.0), intensities), min_size=3))
+def test_vertex_at_an_argmin_lies_in_its_bracket(start, steps):
+    # y[i-1] > y[i] <= y[i+1] puts an upward parabola's vertex within
+    # [(x[i-1] + x[i]) / 2, (x[i] + x[i+1]) / 2], half a gap inside the bracket
+    gaps, y = map(np.array, zip(*steps))
+    x = start + np.cumsum(gaps)
+    best = int(np.argmin(y))
+    vertex = scans._vertex(x, y, best)
+    assert vertex is None or x[best - 1] <= vertex <= x[best + 1]
 
 
 class TestSubharmonics:
