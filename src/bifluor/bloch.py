@@ -12,17 +12,19 @@ drift as the Bloch vector, so the incoherent spectrum is twice the
 real part of its Laplace-domain resolvent, a quadratic over the cubic
 characteristic polynomial of the drift (no eigenvectors, so it stays
 exact where the drift matrix is defective).  Spectra are computed for
-a stack of drive strengths (one drive is a stack of one, the
-phase-averaged degenerate drive a weighted stack of distinct phases),
-each member optionally with its own T2: one builder makes the drift
-matrices, one helper the polynomial coefficients, and one sum weights
-the spectra in real arithmetic over grid chunks of bounded memory.
-The sum returns one weighted mean, or with a weight matrix one column
-per member: the triplet fit evaluates every (half Rabi, T2) point of a
-Gauss-Newton Jacobian as one stack with identity weights.  Frequencies
-are quoted in GHz relative to the bare transition; the drive sits at
-the detuning Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2
-+ Delta1^2).
+a stack of drive strengths (one drive is a stack of one), each member
+optionally with its own T2: one builder makes the drift matrices, one
+helper the polynomial coefficients, and one sum weights the spectra in
+real arithmetic over grid chunks of bounded memory.  The sum returns
+one weighted mean, or with a weight matrix one column per member: the
+triplet fit evaluates every (half Rabi, T2) point of a Gauss-Newton
+Jacobian as one stack with identity weights.  The phase-averaged
+degenerate drive needs no stack of phases: the coefficients are
+polynomials of low degree in the squared Rabi frequency, so four
+members fix them, and the mean over the relative phase is taken in
+closed form at each frequency (_phase_mean).  Frequencies are quoted
+in GHz relative to the bare transition; the drive sits at the detuning
+Delta1, the Mollow sidebands at Delta1 +- sqrt((2*Omega)^2 + Delta1^2).
 """
 
 from __future__ import annotations
@@ -174,13 +176,11 @@ def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
     quadratic (n0 - n2 nu^2) + i n1 nu, so 2 Re N/D is evaluated in real
     arithmetic over chunks of the grid.  ``weights`` of shape (n,) give
     one (grid,) sum; an (n, m) matrix gives (grid, m) columns (the
-    identity returns every member's spectrum).  Also returns each
-    member's minimum and maximum over nu.
+    identity returns every member's spectrum).
     """
     c2, c1, c0 = den
     n2, n1, n0 = 2.0 * num
     mean = np.empty(nu.shape + weights.shape[1:])
-    lo, hi = np.full(c2.size, np.inf), np.full(c2.size, -np.inf)
     step = max(1, 8192 // c2.size)  # grid rows per chunk of 8192 terms
     for at in range(0, nu.size, step):
         x = nu[at : at + step, None]
@@ -188,10 +188,8 @@ def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
         dr, di = c0 - c2 * x2, x * (c1 - x2)
         nr = n0.real - n2.real * x2 - n1.imag * x
         ni = n0.imag - n2.imag * x2 + n1.real * x
-        rows = (nr * dr + ni * di) / (dr * dr + di * di)
-        mean[at : at + step] = rows @ weights
-        lo, hi = np.minimum(lo, rows.min(axis=0)), np.maximum(hi, rows.max(axis=0))
-    return mean, lo, hi
+        mean[at : at + step] = ((nr * dr + ni * di) / (dr * dr + di * di)) @ weights
+    return mean
 
 
 def _require_cover(grid, center, span, linewidths, emitter: EmitterParams) -> None:
@@ -211,26 +209,94 @@ def _require_cover(grid, center, span, linewidths, emitter: EmitterParams) -> No
         )
 
 
-def _mean_spectrum(
-    emitter: EmitterParams, detuning: float, rabis, grid, weights=None
-) -> Spectrum:
-    """Weighted mean of the Mollow spectra of a stack of half Rabis at one detuning.
+def _mean_spectrum(emitter: EmitterParams, detuning: float, rabis, grid) -> Spectrum:
+    """Mean of the Mollow spectra of a stack of half Rabis at one detuning.
 
-    ``weights`` (default equal) are normalized here; intensity and
-    elastic weight are averaged with them.  The grid must cover the
-    sidebands of the largest half Rabi as in mollow_spectrum.  Each
-    member's minimum must pass the floor of Spectrum against the largest
-    member peak, not its own: at equal powers the phase pi is noise.
+    Intensity and elastic weight are averaged with equal weights.  The
+    grid must cover the sidebands of the largest half Rabi as in
+    mollow_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     _require_cover(grid, detuning, np.hypot(2.0 * np.max(rabis), detuning), 5.0, emitter)
     den, num, elastic = _resolvent(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
-    weights = np.ones(elastic.size) if weights is None else np.asarray(weights, float)
-    weights = weights / weights.sum()
-    intensity, low, high = _resolvent_sum(TWO_PI * (grid - detuning), den, num, weights)
-    if np.any(low < -1e-9 * max(high.max(), 1e-300)):
-        raise ValidationError("negative intensity below the numerical floor")
+    weights = np.full(elastic.size, 1.0 / elastic.size)
+    intensity = _resolvent_sum(TWO_PI * (grid - detuning), den, num, weights)
     weight = float(elastic @ weights)
+    return Spectrum(grid, intensity, weight, ((detuning, weight),))
+
+
+# Chebyshev nodes on (0, 1), the fractions of the scale S at which
+# _phase_mean samples the Bloch resolvent
+_PHASE_NODES = 0.5 + 0.5 * np.cos(np.pi * np.arange(0.5, 4.0) / 4.0)
+
+
+def _phase_mean(
+    emitter: EmitterParams, detuning: float, rabi: float, alpha: float, grid
+) -> Spectrum:
+    """Mollow spectra averaged exactly over the relative phase of two drives.
+
+    Fields of half Rabi Omega = ``rabi`` and sqrt(alpha) Omega at one
+    frequency add to a half Rabi sqrt(s), s = Omega^2 (1 + alpha + 2
+    sqrt(alpha) cos phi).  Work in sigma = s / S: c2 of _resolvent is
+    constant, c1 = k0 + k1 sigma and c0 = h0 + h1 sigma, and each num_k
+    c0^2 and elastic c0^2 is a cubic in sigma that vanishes at sigma = 0
+    (no drive, no emission), so the members at the four _PHASE_NODES give
+    them exactly.  The drift is singular at the double pole p = -h0 / h1 <
+    0.  S, the top Omega^2 (1 + sqrt(alpha))^2 of the phase's range plus
+    the distance -p S of the pole below 0, puts both p and the range [lo,
+    hi] within one node span, so the cubics are never far extrapolated.  At
+    angular frequency nu a member's spectrum is 2 Re P(sigma) / (h1^2
+    (sigma - p)^2 D1 (sigma - q)), with the cubic D(i nu) = D1 (sigma - q).
+    The phase mean of 1 / (sigma - t) is G(t) = -1 / W(t), W(t) = sqrt(t -
+    hi) sqrt(t - lo) off [lo, hi], so the mean is (P_3 + P(p) G[p,p,q] +
+    P'(p) G[p,q] + P[p,p,q] G(q)) / (h1^2 D1), in divided differences of G
+    that do not cancel and stay finite at nu = 0, where q = p.  The
+    elastic weight follows from elastic c0^2 the same way.  Without a
+    second field, or without any, the spectrum is one Mollow spectrum.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if alpha == 0.0 or rabi == 0.0:
+        return _mean_spectrum(emitter, detuning, rabi, grid)
+    root = np.sqrt(alpha)
+    top = rabi * (1.0 + root)
+    _require_cover(grid, detuning, np.hypot(2.0 * top, detuning), 5.0, emitter)
+    t1, t2 = emitter.t1_ns, emitter.t2_ns
+    c0_at = -np.linalg.det(_drift_stack(t1, t2, detuning, [0.0, 1.0])[0])  # at s = 0, 1 GHz^2
+    scale = top * top + c0_at[0] / (c0_at[1] - c0_at[0])
+    lo, hi = (rabi - rabi * root) ** 2 / scale, top * top / scale
+    mid, half = rabi * rabi * (1.0 + alpha) / scale, 2.0 * rabi * rabi * root / scale
+    (c2, c1, c0), num, elastic = _resolvent(t1, t2, detuning, np.sqrt(scale * _PHASE_NODES))
+    # columns c1, c0, then n2, n1, n0 (doubled) and elastic times c0^2 / sigma
+    quadratics = np.vstack([2.0 * num, elastic]) * (c0 * c0 / _PHASE_NODES)
+    samples = np.column_stack([c1, c0, quadratics.T])
+    coef = np.linalg.solve(np.vander(_PHASE_NODES, 4, increasing=True), samples)
+    (k0, h0), (k1, h1) = coef[:2, :2].real
+    cubic = coef[:3, 2:]  # rows: sigma^1, sigma^2, sigma^3
+    p = -h0 / h1
+    at_p = ((cubic[2] * p + cubic[1]) * p + cubic[0]) * p
+    slope_p = (3.0 * cubic[2] * p + 2.0 * cubic[1]) * p + cubic[0]
+    w_p = -np.sqrt((hi - p) * (lo - p))
+    nu = TWO_PI * (grid - detuning)
+    nu2 = nu * nu
+
+    def at_nu(row):  # (n0 - n2 nu^2) + i n1 nu from a row (n2, n1, n0, ...)
+        return row[2] - row[0] * nu2 + 1j * nu * row[1]
+
+    d1 = h1 + 1j * k1 * nu
+    q = -((h0 - c2[0] * nu2) + 1j * nu * (k0 - nu2)) / d1
+    w_q = np.sqrt(q - hi) * np.sqrt(q - lo)
+    both, pq = w_p + w_q, p + q - 2.0 * mid
+    g_pq = pq / (w_p * w_q * both)
+    g_ppq = -((p - mid) * (q - mid) + half * half + (p - mid) * w_p * pq / both) / (
+        w_p**3 * w_q * both
+    )
+    p3 = at_nu(cubic[2])
+    mean = p3 + at_nu(at_p) * g_ppq + at_nu(slope_p) * g_pq
+    mean -= (at_nu(cubic[1]) + p3 * (2.0 * p + q)) / w_q  # P[p,p,q] G(q)
+    intensity = (mean / (h1 * h1 * d1)).real
+    e2, e3 = cubic[1:, 3].real
+    weight = e2 + e3 * (2.0 * p + mid) + at_p[3].real * (p - mid) / w_p**3 - slope_p[3].real / w_p
+    weight = float(weight / (h1 * h1))
     return Spectrum(grid, intensity, weight, ((detuning, weight),))
 
 
@@ -257,7 +323,7 @@ def mollow_shape(emitter: EmitterParams, drive: DriveField, grid) -> np.ndarray:
     """
     den, num, _ = _resolvent(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
     nu = TWO_PI * (np.asarray(grid, dtype=float) - drive.detuning)
-    return _resolvent_sum(nu, den, num, np.ones(1))[0]
+    return _resolvent_sum(nu, den, num, np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -331,7 +397,7 @@ def fit_mollow(
         rabis = np.maximum(P[:, 0], 0.0)
         t2_ns = np.clip(P[:, 1], t2_min, t2_max) / 1000.0
         den, num, _ = _resolvent(t1_ns, t2_ns, detuning, rabis)
-        return _resolvent_sum(nu, den, num, np.eye(len(P)))[0].T
+        return _resolvent_sum(nu, den, num, np.eye(len(P))).T
 
     def residual(P):
         return P[:, 2:3] * shapes(P) + P[:, 3:4] - data

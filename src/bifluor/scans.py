@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 _WINDOW_GHZ = 0.5  # half width of the central-line window of central_intensity_curve
-_N_PHASES = 256  # relative phases in the phase-averaged degenerate spectrum
 ETALON_ORDERS = 20  # etalon orders solved on each side of the centre one
 SUBHARMONIC_ORDERS = (1, 2, 3, 4, 5)  # the orders of the paper's subharmonic scan
 
@@ -207,14 +206,20 @@ def central_intensity_curve(result: ScanResult2D, center: float = 0.0) -> Centra
 
 
 def _vertex(x, y, i):
-    """Vertex of the parabola through points i - 1..i + 1 if it opens upward."""
+    """Vertex of the parabola through points i - 1..i + 1 if it opens upward.
+
+    It is x[i] + (d1 h2^2 - d3 h1^2) / (2 (d1 h2 + d3 h1)) in the gaps h1,
+    h2 and the rises d1, d3 of the outer points over the middle one.  At
+    an argmin (d1 > 0 <= d3) it lies within half a gap of x[i], also
+    when the rises are subnormal, since d1 h2 h2 is rounded from the
+    rounded d1 h2 of the denominator (and d3 h1 h1 from d3 h1).
+    """
     if not 0 < i < len(x) - 1:
         return None
-    (x1, x2, x3), (y1, y2, y3) = x[i - 1 : i + 2], y[i - 1 : i + 2]
-    denom = (x1 - x2) * (x1 - x3) * (x2 - x3)
-    a = (x3 * (y2 - y1) + x2 * (y1 - y3) + x1 * (y3 - y2)) / denom
-    b = (x3**2 * (y1 - y2) + x2**2 * (y3 - y1) + x1**2 * (y2 - y3)) / denom
-    return -b / (2.0 * a) if a > 0.0 else None
+    h1, h2 = x[i] - x[i - 1], x[i + 1] - x[i]
+    d1, d3 = y[i - 1] - y[i], y[i + 1] - y[i]
+    denom = 2.0 * (d1 * h2 + d3 * h1)
+    return x[i] + (d1 * h2 * h2 - d3 * h1 * h1) / denom if denom > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -498,28 +503,25 @@ def degenerate_spectrum(
     Omega sqrt(1 + alpha + 2 sqrt(alpha) cos phi), which flattens the
     sidebands into plateaus spanning 2 Omega (1 +- sqrt(alpha)).
 
-    ``phase_average`` averages monochromatic spectra over _N_PHASES =
-    256 evenly spaced phases in one stacked resolvent sum (phases phi
-    and 2 pi - phi share one member of weight 2), on a grid covering the
-    largest effective splitting.  Against 4096 phases the average is off
-    by at most 1.4e-13 of the peak for alpha <= 0.4, 2.9e-10 at
-    alpha = 0.8 and 1.2e-7 at alpha = 1.  ``small_delta`` instead runs
-    the bichromatic engine at a beat detuning of one twentieth of the
-    radiative linewidth, gamma_sp / (2 pi) / 20, so the phase is swept
-    physically.  Both see the same distribution.  A truncation of the
-    ``small_delta`` spectrum is settled as in emission_spectrum.
+    ``phase_average`` averages the monochromatic spectra over the phase
+    exactly, in closed form (bloch._phase_mean), on a grid covering the
+    largest effective splitting.  Against a mean over 4096 phases it
+    agrees within 3e-14 of the peak for alpha <= 0.4, and against 16384
+    phases within 2e-12 for alpha up to 1, where the singular drift
+    nears the branch point of the phase integral (Delta1 of 0 and 0.4
+    GHz, T2 from 424 to 780 ps); the elastic weight agrees within 2e-13
+    relative.  Drives far weaker than the linewidth lose up to 6e-12 of
+    the peak.  ``small_delta`` instead runs the bichromatic engine at a
+    beat detuning of one twentieth of the radiative linewidth,
+    gamma_sp / (2 pi) / 20, so the phase is swept physically.  Both see
+    the same distribution.  A truncation of the ``small_delta`` spectrum
+    is settled as in emission_spectrum.
     """
     grid = np.asarray(grid, dtype=float)
     if not np.isfinite(alpha) or alpha < 0.0:
         raise ValidationError("alpha (power ratio) must be non-negative")
     if method == "phase_average":
-        # phases phi and 2 pi - phi give the same Rabi frequency, so only
-        # k = 0 .. n/2 are solved, the paired ones with weight 2
-        k = np.arange(_N_PHASES // 2 + 1)
-        phases = TWO_PI * k / _N_PHASES
-        rabis = strong.rabi * np.abs(1.0 + np.sqrt(alpha) * np.exp(1j * phases))
-        weights = np.where((k == 0) | (2 * k == _N_PHASES), 1.0, 2.0)
-        return bloch._mean_spectrum(emitter, strong.detuning, rabis, grid, weights)
+        return bloch._phase_mean(emitter, strong.detuning, strong.rabi, alpha, grid)
     if method == "small_delta":
         epsilon = emitter.gamma_sp / TWO_PI / 20.0
         weak = DriveField(
