@@ -14,11 +14,10 @@ characteristic polynomial of the drift (no eigenvectors, so it stays
 exact where the drift matrix is defective).  Spectra are computed for
 a stack of drive strengths (one drive is a stack of one), each member
 optionally with its own T2: one builder makes the drift matrices, one
-helper the polynomial coefficients, and one sum weights the spectra in
-real arithmetic over grid chunks of bounded memory.  The sum returns
-one weighted mean, or with a weight matrix one column per member: the
-triplet fit evaluates every (half Rabi, T2) point of a Gauss-Newton
-Jacobian as one stack with identity weights.  The phase-averaged
+helper the polynomial coefficients, and one sum evaluates the spectra
+in real arithmetic over grid chunks of bounded memory, one column per
+member: the triplet fit evaluates every (half Rabi, T2) point of a
+Gauss-Newton Jacobian as one stack.  The phase-averaged
 degenerate drive needs no stack of phases: the coefficients are
 polynomials of low degree in the squared Rabi frequency, so four
 members fix them, and the mean over the relative phase is taken in
@@ -38,29 +37,13 @@ from .errors import CoverageError, SingularSystemError, ValidationError
 from .fitting import gauss_newton
 
 __all__ = [
-    "BlochSystem",
     "Spectrum",
-    "build_bloch",
     "steady_state",
     "mollow_spectrum",
     "mollow_shape",
     "MollowFit",
     "fit_mollow",
 ]
-
-
-@dataclass(frozen=True)
-class BlochSystem:
-    """Drift matrix (3x3, angular units) and pump vector for (u, v, w)."""
-
-    drift: np.ndarray
-    pump: np.ndarray
-    emitter: EmitterParams
-    drive: DriveField
-
-    def __post_init__(self):
-        self.drift.setflags(write=False)
-        self.pump.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -119,12 +102,6 @@ def _drift_stack(t1: float, t2, detuning: float, rabis):
     return base + om * coupling, np.array([0.0, 0.0, -1.0 / t1])
 
 
-def build_bloch(emitter: EmitterParams, drive: DriveField) -> BlochSystem:
-    """Bloch drift matrix and pump for a single monochromatic drive."""
-    drift, pump = _drift_stack(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
-    return BlochSystem(drift[0], pump, emitter, drive)
-
-
 def _steady(drift: np.ndarray, pump: np.ndarray) -> np.ndarray:
     """Steady Bloch vectors of one drift matrix or of a stack of them."""
     if np.any(np.linalg.cond(drift) > 1e12):
@@ -132,9 +109,9 @@ def _steady(drift: np.ndarray, pump: np.ndarray) -> np.ndarray:
     return np.linalg.solve(drift, -pump[:, None])[..., 0]
 
 
-def steady_state(system: BlochSystem) -> np.ndarray:
-    """Steady Bloch vector (u, v, w); the excited population is (1+w)/2."""
-    return _steady(system.drift, system.pump)
+def steady_state(emitter: EmitterParams, drive: DriveField) -> np.ndarray:
+    """Steady Bloch vector (u, v, w) under one drive; the excited population is (1+w)/2."""
+    return _steady(*_drift_stack(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi))[0]
 
 
 def _resolvent(t1: float, t2, detuning: float, rabis):
@@ -169,18 +146,16 @@ def _resolvent(t1: float, t2, detuning: float, rabis):
     return np.stack([c2, c1, c0]), num, np.abs(sig) ** 2
 
 
-def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
-    """Weighted stack sums of 2 Re R(i nu) at angular frequencies nu.
+def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """2 Re R(i nu) of every member at angular frequencies nu, one column each.
 
     With z = i nu the cubic is (c0 - c2 nu^2) + i nu (c1 - nu^2) and the
     quadratic (n0 - n2 nu^2) + i n1 nu, so 2 Re N/D is evaluated in real
-    arithmetic over chunks of the grid.  ``weights`` of shape (n,) give
-    one (grid,) sum; an (n, m) matrix gives (grid, m) columns (the
-    identity returns every member's spectrum).
+    arithmetic over chunks of the grid into a (grid, members) array.
     """
     c2, c1, c0 = den
     n2, n1, n0 = 2.0 * num
-    mean = np.empty(nu.shape + weights.shape[1:])
+    spectra = np.empty(nu.shape + c2.shape)
     step = max(1, 8192 // c2.size)  # grid rows per chunk of 8192 terms
     for at in range(0, nu.size, step):
         x = nu[at : at + step, None]
@@ -188,8 +163,8 @@ def _resolvent_sum(nu: np.ndarray, den: np.ndarray, num: np.ndarray, weights):
         dr, di = c0 - c2 * x2, x * (c1 - x2)
         nr = n0.real - n2.real * x2 - n1.imag * x
         ni = n0.imag - n2.imag * x2 + n1.real * x
-        mean[at : at + step] = ((nr * dr + ni * di) / (dr * dr + di * di)) @ weights
-    return mean
+        spectra[at : at + step] = (nr * dr + ni * di) / (dr * dr + di * di)
+    return spectra
 
 
 def _require_cover(grid, center, span, linewidths, emitter: EmitterParams) -> None:
@@ -219,9 +194,8 @@ def _mean_spectrum(emitter: EmitterParams, detuning: float, rabis, grid) -> Spec
     grid = np.asarray(grid, dtype=float)
     _require_cover(grid, detuning, np.hypot(2.0 * np.max(rabis), detuning), 5.0, emitter)
     den, num, elastic = _resolvent(emitter.t1_ns, emitter.t2_ns, detuning, rabis)
-    weights = np.full(elastic.size, 1.0 / elastic.size)
-    intensity = _resolvent_sum(TWO_PI * (grid - detuning), den, num, weights)
-    weight = float(elastic @ weights)
+    intensity = _resolvent_sum(TWO_PI * (grid - detuning), den, num).mean(axis=1)
+    weight = float(elastic.mean())
     return Spectrum(grid, intensity, weight, ((detuning, weight),))
 
 
@@ -323,7 +297,7 @@ def mollow_shape(emitter: EmitterParams, drive: DriveField, grid) -> np.ndarray:
     """
     den, num, _ = _resolvent(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)
     nu = TWO_PI * (np.asarray(grid, dtype=float) - drive.detuning)
-    return _resolvent_sum(nu, den, num, np.ones(1))
+    return _resolvent_sum(nu, den, num)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -397,7 +371,7 @@ def fit_mollow(
         rabis = np.maximum(P[:, 0], 0.0)
         t2_ns = np.clip(P[:, 1], t2_min, t2_max) / 1000.0
         den, num, _ = _resolvent(t1_ns, t2_ns, detuning, rabis)
-        return _resolvent_sum(nu, den, num, np.eye(len(P))).T
+        return _resolvent_sum(nu, den, num).T
 
     def residual(P):
         return P[:, 2:3] * shapes(P) + P[:, 3:4] - data

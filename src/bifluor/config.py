@@ -33,10 +33,6 @@ __all__ = [
 
 _MISSING = object()
 
-# keys of the time-stepping spectrum engine that the harmonic-space
-# resolvent replaced
-REMOVED_KEYS = ("numerics.tau_max_ns", "numerics.n_phases", "scan.tau_factor")
-
 
 def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
@@ -100,11 +96,6 @@ class ConfigFile:
         for key, (_val, lineno) in self.entries.items():
             if key in self.accessed:
                 continue
-            if key in REMOVED_KEYS:
-                raise ConfigError(
-                    f"{self.path}:{lineno}: key {key} was removed with the "
-                    "time-stepping spectrum engine; delete it"
-                )
             raise ConfigError(f"{self.path}:{lineno}: unknown key {key} for this command")
 
     def effective(self) -> dict:

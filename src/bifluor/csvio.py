@@ -10,7 +10,6 @@ produce byte-identical files regardless of how they were computed.
 from __future__ import annotations
 
 import os
-import secrets
 
 import numpy as np
 
@@ -51,7 +50,7 @@ def atomic_write_text(path, text: str) -> None:
     The temp file is created with mode 0o666 under the process umask,
     so the product gets the mode that ``open(path, "w")`` gives it.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".partial-{secrets.token_hex(8)}")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".partial-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

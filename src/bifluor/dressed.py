@@ -236,8 +236,7 @@ def dressed_populations(
     upper = np.array([sin_t, cos_t])  # dressed doublet in the (g, e) basis
     lower = np.array([cos_t, -sin_t])
     if drive.weak.rabi == 0.0:
-        system = bloch.build_bloch(emitter, drive.strong)
-        u, v, w = bloch.steady_state(system)
+        u, v, w = bloch.steady_state(emitter, drive.strong)
         rho = 0.5 * np.array(
             [[1.0 - w, u + 1j * v], [u - 1j * v, 1.0 + w]], dtype=complex
         )

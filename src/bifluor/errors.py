@@ -85,4 +85,4 @@ class TruncationWarning(UserWarning):
 
 
 class NumericsWarning(UserWarning):
-    """Advisory about questionable numerical settings (e.g. coarse grids)."""
+    """Advisory that a closed-form model is used outside its range (the secular limit)."""

@@ -96,17 +96,15 @@ def sambe_dense_solve(l0, lp, lm, delta, seed, nu):
     return np.array(out)
 
 
-def balance_dense_solve(l0, lp, lm, delta, cutoff):
-    """Every harmonic of the truncated periodic steady state, one dense solve.
+def balance_matrix(l0, lp, lm, delta, cutoff):
+    """Dense harmonic-balance matrix of the truncated periodic steady state.
 
-    Solves (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0 for
+    Rows are (l0 - i k delta) rho_k + lp rho_{k-1} + lm rho_{k+1} = 0 for
     |k| <= cutoff in all four row-major coordinates of every harmonic,
-    4 (2 cutoff + 1) unknowns in one matrix.  The parts come from
-    generator_parts.  The generator keeps the trace, so the trace of row
-    k reads -i k delta tr rho_k = 0: every harmonic but rho_0 is
-    traceless, and the gg row of k = 0, which that makes redundant, is
-    replaced by tr rho_0 = 1.  Returns row-major vectors, shape
-    (2 cutoff + 1, 4).
+    4 (2 cutoff + 1) unknowns.  The parts come from generator_parts.  The
+    generator keeps the trace, so the trace of row k reads -i k delta tr
+    rho_k = 0: every harmonic but rho_0 is traceless, and the gg row of
+    k = 0, which that makes redundant, is replaced by tr rho_0 = 1.
     """
     size = 2 * cutoff + 1
     orders = np.repeat(np.arange(-cutoff, cutoff + 1), 4)
@@ -119,9 +117,18 @@ def balance_dense_solve(l0, lp, lm, delta, cutoff):
     gg = 4 * cutoff  # the gg row of k = 0
     matrix[gg] = 0.0
     matrix[gg, [gg, gg + 3]] = 1.0
-    rhs = np.zeros(4 * size, dtype=complex)
-    rhs[gg] = 1.0
-    return np.linalg.solve(matrix, rhs).reshape(size, 4)
+    return matrix
+
+
+def balance_dense_solve(l0, lp, lm, delta, cutoff):
+    """Every harmonic of the truncated periodic steady state, one dense solve.
+
+    Solves balance_matrix against tr rho_0 = 1.  Returns row-major
+    vectors, shape (2 cutoff + 1, 4).
+    """
+    rhs = np.zeros(4 * (2 * cutoff + 1), dtype=complex)
+    rhs[4 * cutoff] = 1.0
+    return np.linalg.solve(balance_matrix(l0, lp, lm, delta, cutoff), rhs).reshape(-1, 4)
 
 
 def _beat_propagators(l0, lp, lm, delta, period, n_steps):

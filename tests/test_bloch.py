@@ -13,7 +13,6 @@ from bifluor.bloch import (
     _drift_stack,
     _mean_spectrum,
     _resolvent,
-    build_bloch,
     fit_mollow,
     mollow_shape,
     mollow_spectrum,
@@ -32,8 +31,7 @@ def saturation_population(emitter, rabi):
 
 def test_steady_state_resonant_closed_form(emitter):
     for rabi in (0.2, 1.0, 2.9):
-        system = build_bloch(emitter, DriveField(detuning=0.0, rabi=rabi))
-        u, v, w = steady_state(system)
+        u, v, w = steady_state(emitter, DriveField(detuning=0.0, rabi=rabi))
         assert u == pytest.approx(0.0, abs=1e-14)
         assert 0.5 * (1.0 + w) == pytest.approx(
             saturation_population(emitter, rabi), rel=1e-12
@@ -43,8 +41,7 @@ def test_steady_state_resonant_closed_form(emitter):
 def test_steady_state_detuned_closed_form(emitter):
     om = TWO_PI * 2.0
     d1 = TWO_PI * 1.5
-    system = build_bloch(emitter, DriveField(detuning=1.5, rabi=2.0))
-    u, v, w = steady_state(system)
+    u, v, w = steady_state(emitter, DriveField(detuning=1.5, rabi=2.0))
     t1, t2 = emitter.t1_ns, emitter.t2_ns
     denom = 1.0 + (d1 * t2) ** 2 + 4.0 * om * om * t1 * t2
     assert w == pytest.approx(-(1.0 + (d1 * t2) ** 2) / denom, rel=1e-12)
@@ -55,15 +52,13 @@ def test_spectrum_normalization_sum_rule(emitter):
     grid = np.linspace(-40.0, 40.0, 4001)
     spec = mollow_spectrum(emitter, drive, grid)
     total = simpson(spec.intensity, x=grid) + spec.elastic_weight
-    system = build_bloch(emitter, drive)
-    rho_ee = 0.5 * (1.0 + steady_state(system)[2])
+    rho_ee = 0.5 * (1.0 + steady_state(emitter, drive)[2])
     assert total == pytest.approx(rho_ee, rel=5e-3)
 
 
 def test_elastic_weight_is_squared_coherence(emitter):
     drive = DriveField(detuning=0.0, rabi=1.2)
-    system = build_bloch(emitter, drive)
-    u, v, _ = steady_state(system)
+    u, v, _ = steady_state(emitter, drive)
     spec = mollow_spectrum(emitter, drive, np.linspace(-10, 10, 501))
     assert spec.elastic_weight == pytest.approx((u * u + v * v) / 4.0, rel=1e-12)
     assert spec.elastic_lines == ((0.0, spec.elastic_weight),)
@@ -280,19 +275,19 @@ def test_stacked_fit_residual_matches_per_member_shapes(t1, detuning, members):
     drift, _ = _drift_stack(t1 / 1000.0, t2s / 1000.0, detuning, rabis)
     for i, (rabi, t2, (amp, off)) in enumerate(zip(rabis, t2s, P[:, 2:])):
         em, drive = EmitterParams(t1=t1, t2=t2), DriveField(detuning=detuning, rabi=rabi)
-        assert np.array_equal(drift[i], build_bloch(em, drive).drift)
+        assert np.array_equal(drift[i], _drift_stack(em.t1_ns, em.t2_ns, detuning, rabi)[0][0])
         shape = amp * mollow_shape(em, drive, grid)
         assert np.max(np.abs(got[i] - (shape + off - data))) <= 1e-12 * np.max(np.abs(shape))
 
 
 def direct_spectrum(emitter, drive, grid):
     """2 Re c.(i nu - A)^-1 y0 by one linear solve per grid frequency."""
-    system = build_bloch(emitter, drive)
-    u, v, w = steady_state(system)
+    u, v, w = steady_state(emitter, drive)
+    drift = _drift_stack(emitter.t1_ns, emitter.t2_ns, drive.detuning, drive.rabi)[0][0]
     rho_ee, sig = 0.5 * (1.0 + w), 0.5 * (u + 1j * v)
     y0 = np.array([rho_ee, 1j * rho_ee, -sig]) - np.array([u, v, w]) * sig
     nu = TWO_PI * (grid - drive.detuning)
-    y = np.linalg.solve(1j * nu[:, None, None] * np.eye(3) - system.drift, y0)
+    y = np.linalg.solve(1j * nu[:, None, None] * np.eye(3) - drift, y0)
     return np.real(y[:, 0] - 1j * y[:, 1])
 
 
@@ -317,8 +312,7 @@ def test_resolvent_leading_coefficient_sums_to_the_excited_population(
     assert num.shape == (3, len(rabis))
     assert np.all(c2 > 0.0) and np.all(c0 > 0.0) and np.all(c2 * c1 > c0)
     for i, rabi in enumerate(rabis):
-        system = build_bloch(em, DriveField(detuning=detuning, rabi=rabi))
-        u, v, w = steady_state(system)
+        u, v, w = steady_state(em, DriveField(detuning=detuning, rabi=rabi))
         rho_ee = 0.5 * (1.0 + w)
         total = num[0, i] + elastic[i]
         assert total.real == pytest.approx(rho_ee, rel=1e-10)

@@ -801,6 +801,12 @@ grid_step_ghz = 0.02
         self.fresh_python(code)
         assert (tmp_path / "out" / "spectrum.csv").is_file()
 
+    def test_readme_library_example_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (code,) = re.findall(r"## Library example\n.*?```python\n(.*?)```", readme, re.DOTALL)
+        rows = self.fresh_python(code).stdout.splitlines()
+        assert [row.split(":")[0] for row in rows] == [f"line {k}" for k in range(1, 10)]
+
     @pytest.mark.parametrize(
         "command, text, key",
         [
@@ -826,7 +832,7 @@ grid_step_ghz = 0.02
         cfg = write_cfg(tmp_path, text)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"key {key} was removed with the time-stepping spectrum engine" in err
+        assert f"unknown key {key} for this command" in err
 
     def test_degenerate_at_equal_powers(self, tmp_path):
         text = DEGENERATE_CFG.replace("alpha = 0.25", "alpha = 1")
