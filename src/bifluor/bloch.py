@@ -356,7 +356,7 @@ def fit_mollow(
         i = int(bad[0])
         raise ValidationError(
             f"freq and intensity must be finite; sample {i} has "
-            f"freq={freq[i]!r}, intensity={data[i]!r}"
+            f"freq={float(freq[i])}, intensity={float(data[i])}"
         )
     guess = np.asarray(guess, dtype=float).ravel()
     if guess.size != 2 or not (np.all(np.isfinite(guess)) and guess[0] > 0.0):

@@ -104,7 +104,12 @@ def read_spectrum(path):
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     if len(freq) < 2:
         raise ValidationError(f"{path}: need at least two samples")
-    return np.array(freq), np.array(intensity)
+    freq, intensity = np.array(freq), np.array(intensity)
+    bad = np.flatnonzero(~(np.isfinite(freq) & np.isfinite(intensity)))
+    if bad.size:
+        lineno, text = lines[1 + bad[0]]
+        raise ValidationError(f"{path}:{lineno}: values must be finite, got {text!r}")
+    return freq, intensity
 
 
 def write_map(path, result) -> None:

@@ -194,6 +194,10 @@ class TestCsvIO:
         gaps.write_text("freq_ghz,intensity\n\n1.0,2.0\n\n2.0,x\n")
         with pytest.raises(ValidationError, match=r"e\.csv:5: "):
             csvio.read_spectrum(gaps)
+        for name, value in (("f.csv", "nan"), ("g.csv", "inf")):  # non-finite, on line 4
+            (tmp_path / name).write_text(f"freq_ghz,intensity\n1,2\n\n3,{value}\n4,5\n")
+            with pytest.raises(ValidationError, match=rf"{name[0]}\.csv:4: .*finite"):
+                csvio.read_spectrum(tmp_path / name)
 
     def test_map_long_format(self, tmp_path):
         result = ScanResult2D(
@@ -565,7 +569,7 @@ grid_step_ghz = 0.02
         data = tmp_path / "measured.csv"
         csvio.write_spectrum(data, spec)
         rows = data.read_text().splitlines()
-        rows[6] = rows[6].split(",")[0] + ",nan"  # sample 5 (after the header)
+        rows[6] = rows[6].split(",")[0] + ",nan"  # line 7 of the file
         data.write_text("\n".join(rows) + "\n")
         cfg = write_cfg(
             tmp_path,
@@ -575,7 +579,7 @@ grid_step_ghz = 0.02
             ["fit", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "out")]
         )
         assert code == 1
-        assert "sample 5 " in capsys.readouterr().err
+        assert "measured.csv:7: " in capsys.readouterr().err
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MOLLOW_CFG + "\n[scan]\nwindow_ghz = 0.5\n")

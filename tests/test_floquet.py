@@ -436,8 +436,10 @@ def test_resolvent_matches_a_dense_solve(
     nu = np.concatenate([-np.arange(-2, 3) * pl.delta, rng.uniform(-60.0, 60.0, 3)])
     orders = np.arange(-cutoff, cutoff + 1)[:, None]
     full = rng.standard_normal((orders.size, 3)) + 1j * rng.standard_normal((orders.size, 3))
-    # a seed on one half only makes that half's edge harmonic the larger one
-    for seed in (full, full * (orders <= 0), full * (orders >= 0)):
+    # a seed on one half only makes that half's edge harmonic the larger one;
+    # a seed zero above |k| = m leaves the sweep's steps above m no z to find
+    m = rng.integers(cutoff)
+    for seed in (full, full * (orders <= 0), full * (orders >= 0), full * (abs(orders) <= m)):
         eg, ge, ee = seed.T  # row-major (gg, ge, eg, ee), gg = -ee
         dense = sambe_dense_solve(*parts, np.stack([-ee, ge, eg, ee], axis=1), nu)
         ref = dense[:, :, [2, 1, 3]]  # (eg, ge, ee) of every harmonic
