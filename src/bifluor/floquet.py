@@ -48,22 +48,21 @@ so every block is an arrow around x_ee, eliminated entry by entry on
 spectrum on a steady state of cutoff c and 1 for the steady state, the
 inhomogeneous part of every step is exactly zero, so those steps run
 only the elimination, 32 of a step's 52 ufunc calls.  A cutoff is
-accepted when both edge harmonics are within
-EDGE_TOL of the largest x_0 on the grid: the steady state and the
-spectrum share that one tolerance.  One ladder loop, _ladder, makes
-every such choice, for the steady state, the subsample and the whole
-grid.  Rows that share a Liouvillian and differ in the beat only, as a
-scan's rows do, climb it together, those pending at one cutoff in one
-sweep, and a singular row fails alone.  Where a full-grid pass follows
-the choice (a spectrum or map row on more than SUBSAMPLE points) the
-ladder climbs by 1.5x, since that pass costs far more than the
-subsample's rungs and 2x would overshoot the cutoff it needs, and the
-whole grid climbs on from the subsample's choice until it passes too;
-where the choosing solve is itself the result (the steady state, the
-etalon rows of a scan, a grid no larger than the subsample) it doubles,
-since there each rung is a solve of its own.  A spectrum is the one-row
-case of _spectra, the path of a map's rows, which settles (_accepted)
-their (value, issue) pairs: a truncation warns, or fails under --strict.
+accepted when both edge harmonics are within EDGE_TOL of the largest x_0
+on the grid: the steady state and the spectrum share that one tolerance.
+One ladder loop, _ladder, makes every such choice, for the steady state,
+the subsample and the whole grid.  Rows that share a Liouvillian and
+differ in the beat only, as a scan's rows (_scan_rows) do, climb it
+together, those pending at one cutoff in one sweep, and a singular row
+fails alone.  Where a full-grid pass follows the choice (a spectrum or
+map row on more than SUBSAMPLE points) the ladder climbs by 1.5x, since
+that pass costs far more than the subsample's rungs and 2x would
+overshoot the cutoff it needs, and the whole grid climbs on from the
+subsample's choice until it passes too; where the choosing solve is
+itself the result (the steady state, the etalon rows of a scan, a grid
+no larger than the subsample) it doubles, since there each rung is a
+solve of its own.  _spectra and _order_sums settle rows (_accepted): a
+truncation warns, or fails under --strict.
 
 Weak-field convention: the weak record stores the half splitting G, so
 the bare coupling in the Hamiltonian is kappa_w = 2G.  The dipole
@@ -79,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import Spectrum, _require_cover
-from .emitter import TWO_PI, BichromaticDrive, EmitterParams
+from .emitter import TWO_PI, BichromaticDrive, DriveField, EmitterParams
 from .errors import (
     BifluorError,
     DegenerateDriveError,
@@ -305,8 +304,7 @@ def periodic_steady_state(pl: PeriodicLiouvillian) -> PeriodicState:
 def _filon_weights(theta: np.ndarray):
     """Panel weights for quadratic interpolatory oscillatory quadrature.
 
-    Not used by emission_spectrum; kept with half_fourier while
-    bench/layers.py still traces both names.
+    Used by half_fourier only, and goes with it.
 
     For one panel [0, 2h] with nodes at 0, h, 2h the integral of
     f(tau) e^{-i nu tau} is h * (w0 f0 + w1 f1 + w2 f2) with the f
@@ -669,6 +667,30 @@ def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
     _require_cover(grid, d1, span + 2.0 * drive.weak.rabi, 3.0, pl.emitter)
 
 
+def _scan_rows(emitter, strong, weak_rabi, detunings, relative_phase=0.0, grid=None):
+    """A scan's rows: a weak field at each detuning, with its periodic steady state.
+
+    With a ``grid``, a row whose lines it does not cover fails first.
+    Returns {row: (PeriodicLiouvillian, PeriodicState)}, for _spectra or
+    _order_sums, and {row: error}.
+    """
+    pls, errors = {}, {}
+    for i, detuning in enumerate(detunings):
+        weak = DriveField(detuning=detuning, rabi=weak_rabi)
+        drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
+        try:
+            pl = build_periodic_liouvillian(emitter, drive)
+            if grid is not None:
+                _check_coverage(pl, grid)
+        except BifluorError as exc:  # a numerical or input failure of this row only
+            errors[i] = exc
+        else:
+            pls[i] = pl
+    states = dict(zip(pls, _steady_states(list(pls.values()))))
+    errors.update((i, st) for i, st in states.items() if isinstance(st, BifluorError))
+    return {i: (pls[i], st) for i, st in states.items() if i not in errors}, errors
+
+
 def _accepted(value, issue):
     """A row's ``value``, or its error ``issue``: the one place a truncation is settled.
 
@@ -753,6 +775,47 @@ def _spectra(rows, grid: np.ndarray, detuning: float, workers: int = 1) -> tuple
     else:
         results = map(_full_grid_spectrum, tasks)
     return [_accepted(*result) for result in results], processes
+
+
+def _laurent_coefficients(rows, terms: int) -> np.ndarray:
+    """c_j, j < terms, of x_0[ge] = sum_j c_j / z^(j+1) for large z; shape (rows, terms).
+
+    x = (seed + A x) / z with A x_k = (l0 - i k delta) x_k + lp x_{k-1}
+    + lm x_{k+1}, so c_j = (A^j seed)_0[ge], which needs the seed
+    harmonics |k| < terms only.
+    """
+    l0, lp, lm = _traceless(rows[0][0])
+    y = np.stack([_incoherent_seed(state, terms - 1) for _pl, state in rows])
+    beat = np.array([pl.delta for pl, _state in rows])[:, None, None]
+    k = np.arange(1 - terms, terms)[:, None]
+    coef = []
+    for _ in range(terms):
+        coef.append(y[:, terms - 1, 1])
+        ay = y @ l0.T - 1j * k * beat * y
+        ay[:, 1:] += y[:, :-1] @ lp.T  # x_{k-1} into row k
+        ay[:, :-1] += y[:, 1:] @ lm.T  # x_{k+1} into row k
+        y = ay
+    return np.stack(coef, axis=1)
+
+
+def _order_sums(rows, nu, rest) -> list:
+    """2 Re x_0[ge] summed over ``nu``, and its tail, per row as in _batched_resolvent.
+
+    The tail is 2 Re sum_n c_(n-1) rest_n (_laurent_coefficients), with
+    ``rest`` the sums of z^-n, n = 1 .. rest.size, over the frequencies z
+    not in i ``nu``.  The rows climb _resolvent_cutoffs together, and
+    _accepted settles them in row order.  Returns per row (cutoff, sum,
+    tail), or the row's error.
+    """
+    out = [_accepted(*choice) for choice in _resolvent_cutoffs(rows, nu)]
+    good = [i for i, value in enumerate(out) if not isinstance(value, BifluorError)]
+    if good:
+        cutoffs, x0 = zip(*(out[i] for i in good))
+        solved = 2.0 * np.array([x[1] for x in x0]).real.sum(axis=1)  # x_0[ge]
+        tail = 2.0 * (_laurent_coefficients([rows[i] for i in good], rest.size) @ rest).real
+        for i, sums in zip(good, zip(cutoffs, solved, tail)):
+            out[i] = sums
+    return out
 
 
 def emission_spectrum(

@@ -6,12 +6,10 @@ subharmonic dip scan behind an etalon, and the equal-frequency
 (degenerate) drive limit where the beat note disappears and only the
 relative phase survives.
 
-The rows of both scans share a Liouvillian, so their steady states and
-resolvent cutoffs are solved together in batched sweeps.  A map row is
-emission_spectrum's one-row case (floquet._spectra); only its full-grid
-pass may run in a process pool, started when the map is large enough to
-pay for one, and it returns its truncation as data, settled in row
-order, so results and warnings do not depend on workers.
+Floquet builds, solves and settles the rows of both scans
+(floquet._scan_rows, then floquet._spectra for a map and
+floquet._order_sums behind the etalon); this module keeps the axes, the
+etalon optics, the dip finder and the result records.
 """
 
 from __future__ import annotations
@@ -87,30 +85,6 @@ def _failures(axis, errors) -> tuple[tuple[float, str], ...]:
     )
 
 
-def _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase=0.0, grid=None):
-    """Scan rows: a weak field at each detuning, with its periodic steady state.
-
-    The steady states are solved in one batched call; with a ``grid``, a
-    row whose lines it does not cover fails first.  Returns {row:
-    (PeriodicLiouvillian, PeriodicState)} and {row: error}.
-    """
-    pls, errors = {}, {}
-    for i, detuning in enumerate(detunings):
-        weak = DriveField(detuning=detuning, rabi=weak_rabi)
-        drive = BichromaticDrive(strong=strong, weak=weak, relative_phase=relative_phase)
-        try:
-            pl = build_periodic_liouvillian(emitter, drive)
-            if grid is not None:
-                floquet._check_coverage(pl, grid)
-        except BifluorError as exc:  # a numerical or input failure of this row only
-            errors[i] = exc
-        else:
-            pls[i] = pl
-    states = dict(zip(pls, floquet._steady_states(list(pls.values()))))
-    errors.update((i, st) for i, st in states.items() if isinstance(st, BifluorError))
-    return {i: (pls[i], st) for i, st in states.items() if i not in errors}, errors
-
-
 @dataclass(frozen=True)
 class ScanResult2D:
     """Stack of incoherent spectra over the weak-field axis.
@@ -146,13 +120,11 @@ def detuning_map(
 
     Delta2 = Delta3 + 2 Omega locates the weak field relative to the
     inner dressed transition; each axis point gets a weak field at the
-    corresponding bare detuning.  Each row is its emission_spectrum,
-    prepared with the others (floquet._spectra).  ``workers`` bounds the
-    processes of their full-grid passes: a map large enough to pay for a
-    pool runs them in min(workers, rows) processes, a smaller one in this
-    process; ``processes`` of the result says which.  Nothing else depends
-    on the worker count.  A truncation warns, or fails its row where the
-    warnings filter raises it.
+    corresponding bare detuning.  Each row is its emission_spectrum
+    (floquet._spectra).  ``workers`` bounds the processes of the rows'
+    full-grid passes, ``processes`` of the result says how many ran, and
+    nothing else depends on it.  A truncation warns, or fails its row
+    where the warnings filter raises it.
     """
     delta2_values = np.asarray(delta2_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -161,7 +133,7 @@ def detuning_map(
     if workers < 1:
         raise ValidationError("workers must be at least 1")
     detunings = delta2_values - 2.0 * strong.rabi
-    rows, errors = _weak_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
+    rows, errors = floquet._scan_rows(emitter, strong, weak_rabi, detunings, relative_phase, grid)
     spectra, processes = floquet._spectra(list(rows.values()), grid, strong.detuning, workers)
     intensity = np.full((delta2_values.size, grid.size), np.nan)
     elastic = np.full(delta2_values.size, np.nan)
@@ -336,27 +308,6 @@ def subharmonic_axis(
     return np.array(sorted(points))
 
 
-def _laurent_coefficients(rows, good, terms: int) -> np.ndarray:
-    """c_j, j < terms, of x_0[ge] = sum_j c_j / z^(j+1) for large z; shape (rows, terms).
-
-    x = (seed + A x) / z with A x_k = (l0 - i k delta) x_k + lp x_{k-1}
-    + lm x_{k+1}, so c_j = (A^j seed)_0[ge], which needs the seed
-    harmonics |k| < terms only.
-    """
-    l0, lp, lm = floquet._traceless(rows[good[0]][0])
-    y = np.stack([floquet._incoherent_seed(rows[i][1], terms - 1) for i in good])
-    beat = np.array([rows[i][0].delta for i in good])[:, None, None]
-    k = np.arange(1 - terms, terms)[:, None]
-    coef = []
-    for _ in range(terms):
-        coef.append(y[:, terms - 1, 1])
-        ay = y @ l0.T - 1j * k * beat * y
-        ay[:, 1:] += y[:, :-1] @ lp.T  # x_{k-1} into row k
-        ay[:, :-1] += y[:, 1:] @ lm.T  # x_{k+1} into row k
-        y = ay
-    return np.stack(coef, axis=1)
-
-
 def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon):
     """Etalon-filtered incoherent intensity at each weak detuning.
 
@@ -369,12 +320,6 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon):
     in 1/z are summed over the other orders in closed form: over every
     order, (p + w)^-n sums to pi cot(pi w) for n = 1 and to its
     derivatives for n = 2 .. 4.  What is left falls as ETALON_ORDERS^-5.
-
-    The rows' periodic steady states are solved together, and so are
-    their resolvents (floquet._resolvent_cutoffs): each row's cutoff
-    starts at its steady-state cutoff, and rows pending at one cutoff
-    share one batched sweep.  A row that reaches the ceiling unconverged
-    is settled in row order by floquet._accepted, as a spectrum is.
 
     Returns the intensity, the accepted cutoffs, the tail fractions and
     the failures as (delta3, message).
@@ -393,25 +338,17 @@ def _filtered_rows(emitter, strong, weak_rabi, delta3_values, etalon):
     # z_p^-n summed over the orders that are not solved
     rest = every * (np.pi / scale) ** n - np.sum(z ** -n[:, None], axis=1)
 
-    rows, errors = _weak_rows(emitter, strong, weak_rabi, delta3_values)
-    x0_ge = np.zeros((n_rows, nu.size), dtype=complex)
-    cutoffs = np.zeros(n_rows, dtype=int)
-    for i, choice in zip(rows, floquet._resolvent_cutoffs(list(rows.values()), nu)):
-        choice = floquet._accepted(*choice)
-        if isinstance(choice, BifluorError):
-            errors[i] = choice
-        else:
-            cutoffs[i], x0 = choice
-            x0_ge[i] = x0[1]
-
-    good = [i for i in rows if i not in errors]
+    rows, errors = floquet._scan_rows(emitter, strong, weak_rabi, delta3_values)
     intensity = np.full(n_rows, np.nan)
     tail_fraction = np.full(n_rows, np.nan)
-    if good:
-        tail = 2.0 * (_laurent_coefficients(rows, good, rest.size) @ rest).real
-        total = 2.0 * x0_ge[good].real.sum(axis=1) + tail
-        intensity[good] = weight * total
-        tail_fraction[good] = np.abs(tail / total)
+    cutoffs = np.zeros(n_rows, dtype=int)
+    for i, sums in zip(rows, floquet._order_sums(list(rows.values()), nu, rest)):
+        if isinstance(sums, BifluorError):
+            errors[i] = sums
+            continue
+        cutoffs[i], solved, tail = sums
+        intensity[i] = weight * (solved + tail)
+        tail_fraction[i] = abs(tail / (solved + tail))
     return intensity, cutoffs, tail_fraction, _failures(delta3_values, errors)
 
 
@@ -425,39 +362,39 @@ def subharmonic_scan(
 ) -> SubharmonicScan:
     """Etalon-filtered intensity versus weak-field detuning.
 
-    The weak field (amplitude ratio alpha relative to the strong one,
-    so G = alpha Omega / 2) is stepped to each Delta3; the incoherent
-    spectrum is transmitted through the etalon and integrated, exactly
-    over every etalon order and with no frequency grid: the Airy
-    function is a sum of Lorentzians, and each picks the Sambe resolvent
-    at one complex frequency (see _filtered_rows).  Dips appear where
+    The weak field (amplitude ratio alpha relative to the strong one, so
+    G = alpha Omega / 2) is stepped to each Delta3; the incoherent
+    spectrum is transmitted through the etalon and integrated exactly,
+    with no frequency grid (_filtered_rows).  Dips appear where
     2 Omega / n photon processes go resonant, displaced from the bare
     subharmonics by the ac Stark shift.  Each requested order's dip is
-    the lowest finite point of its window (half a gap below 2 Omega / n
-    to 0.7 of a gap above), refined by the parabola through it and its
-    neighbours; an order whose lowest point is the first or last of its
-    window has no dip.  A row that fails is NaN and listed in
-    ``failures``, as is one whose cutoff reaches CUTOFF_CEILING
-    unconverged where the warnings filter raises its TruncationWarning.
+    the lowest finite point of its window, from half a gap below
+    2 Omega / n to 0.7 of a gap above, refined by the parabola through it
+    and its neighbours; an order whose lowest point is the first or last
+    of its window has no dip.  A window without an axis point raises
+    CoverageError before any row is solved.  A row that fails, or whose
+    cutoff reaches CUTOFF_CEILING unconverged where the warnings filter
+    raises its TruncationWarning, is NaN and listed in ``failures``.
     """
     delta3_values = np.asarray(delta3_values, dtype=float)
     if delta3_values.ndim != 1 or delta3_values.size < 5:
         raise ValidationError("delta3_values must hold at least five points")
     orders = _orders(orders)
-    windows = {n: _subharmonic(strong.rabi, n) for n in orders}
-    for n, (base, gap_next) in windows.items():
-        if not np.any((-delta3_values >= base - 1e-9) & (-delta3_values <= base + gap_next)):
-            raise CoverageError(f"axis does not reach the order-{n} subharmonic at {base:g} GHz")
+    windows = {}  # each order's 2 Omega / n and the axis points in its dip window
+    for n in orders:
+        base, gap_next = _subharmonic(strong.rabi, n)
+        lo, hi = base - 0.5 * gap_next, base + 0.7 * gap_next
+        mask = (-delta3_values >= lo) & (-delta3_values <= hi)
+        if not mask.any():
+            raise CoverageError(f"no axis point in the order-{n} dip window [{lo:g}, {hi:g}] GHz")
+        windows[n] = base, mask
     g = 0.5 * float(np.sqrt(alpha_squared)) * strong.rabi
     intensity, cutoffs, tail_fraction, failures = _filtered_rows(
         emitter, strong, g, delta3_values, etalon
     )
 
     dips = []
-    for n in orders:
-        base, gap_next = windows[n]
-        lo, hi = base - 0.5 * gap_next, base + 0.7 * gap_next
-        mask = (-delta3_values >= lo) & (-delta3_values <= hi)
+    for n, (base, mask) in windows.items():
         x = -delta3_values[mask]
         y = intensity[mask]
         srt = np.argsort(x)

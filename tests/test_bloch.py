@@ -10,6 +10,7 @@ from scipy.integrate import simpson
 
 from oracles import brute_mollow_spectrum, window_weight
 from bifluor.bloch import (
+    Spectrum,
     _drift_stack,
     _mean_spectrum,
     _resolvent,
@@ -19,7 +20,7 @@ from bifluor.bloch import (
     steady_state,
 )
 from bifluor.emitter import TWO_PI, DriveField, EmitterParams
-from bifluor.errors import CoverageError, ValidationError
+from bifluor.errors import CoverageError, SingularSystemError, ValidationError
 from bifluor.fitting import GaussNewtonResult
 
 
@@ -115,6 +116,28 @@ def test_grid_must_cover_the_detuned_sidebands(emitter):
     with pytest.raises(CoverageError):
         mollow_spectrum(emitter, drive, np.linspace(2.3, 17.7, 155))
     mollow_spectrum(emitter, drive, np.linspace(-3.5, 23.5, 271))
+
+
+def test_a_drift_without_drive_or_decay_is_singular():
+    # T1 / T2 = 1e15 and no drive: the drift is diagonal with condition 1e15
+    grid = np.linspace(-1000.0, 1000.0, 201)
+    emitter = EmitterParams(t1=1e15, t2=1.0)
+    with pytest.raises(SingularSystemError, match="numerically singular"):
+        mollow_spectrum(emitter, DriveField(detuning=0.0, rabi=0.0), grid)
+
+
+@pytest.mark.parametrize(
+    ("freq", "intensity", "message"),
+    [
+        (np.zeros((2, 2)), np.zeros((2, 2)), "1d grid"),
+        (np.array([0.0, 1.0]), np.ones(3), "same shape"),
+        (np.array([0.0, 0.0, 1.0]), np.ones(3), "strictly increasing"),
+        (np.array([0.0, 1.0, 2.0]), np.array([1.0, -1e-6, 0.5]), "numerical floor"),
+    ],
+)
+def test_spectrum_rejects_invalid_samples(freq, intensity, message):
+    with pytest.raises(ValidationError, match=message):
+        Spectrum(freq, intensity, 0.0)
 
 
 def test_mollow_shape_matches_spectrum_on_shared_grid(emitter):

@@ -508,6 +508,28 @@ grid_step_ghz = 0.02
         assert "plateau_high_ghz=" in meta
         assert "upper plateau" in capsys.readouterr().out
 
+    def test_degenerate_without_a_plateau_still_writes_its_spectrum(self, tmp_path, capsys):
+        # alpha = 0 leaves no plateau to measure: the run succeeds without edges
+        text = """\
+[emitter]
+t1_ps = 390
+t2_ps = 424
+
+[drive]
+rabi2_strong_ghz = 5.8
+alpha = 0
+
+[numerics]
+grid_min_ghz = -12
+grid_max_ghz = 12
+grid_step_ghz = 0.02
+"""
+        cfg, out = write_cfg(tmp_path, text), tmp_path / "out"
+        assert cli.main(["degenerate", "--config", cfg, "--out", str(out)]) == 0
+        assert "plateau edges not resolvable" in capsys.readouterr().out
+        assert (out / "degenerate.csv").is_file()
+        assert "plateau_" not in (out / "metadata.txt").read_text()
+
     def test_fit_recovers_the_generating_parameters(self, tmp_path, emitter, strong):
         grid = np.linspace(-9.0, 9.0, 721)
         spec = mollow_spectrum(emitter, strong, grid)

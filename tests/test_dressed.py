@@ -63,6 +63,8 @@ def test_nine_line_centers_on_dressed_resonance(drive):
     assert lines.daughter_separation() == pytest.approx(2.0 * lam, abs=1e-12)
     assert lines.lambda_ghz == pytest.approx(lam, abs=1e-12)
     assert lines.secular
+    with pytest.raises(ValidationError, match="no line labeled 10"):
+        lines.line(10)
 
 
 def test_line_weights_are_normalized_and_central_suppressed(drive):
@@ -158,6 +160,22 @@ def test_central_amplitude_limits_and_sign():
     assert type(amp) is float and 0.0 < amp < 0.5
     assert float(central_line_amplitude(2.9, 0.87, 400.0)) == pytest.approx(0.5, abs=1e-5)
     assert float(central_line_amplitude(2.9, 0.87, -0.4)) == -float(amp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.01, 10.0),  # half Rabi Omega
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),  # G over Omega / 2
+    st.one_of(st.sampled_from([0.0, 1e-4, -1e-4]), st.floats(-30.0, 30.0)),  # Delta2
+)
+def test_central_amplitude_squared_is_the_line_1_weight(rabi, g_frac, delta2):
+    # the two closed forms of the central line agree at Delta1 = 0, where
+    # the beat is Delta2 - 2 Omega; both weights are at most 1/4.  A nonzero
+    # G stays above Omega / 2000: the weight's slope in Delta2 grows as 1 / G
+    # and would amplify the rounding of Delta2 - 2 Omega
+    g = g_frac * 0.5 * rabi
+    weight = dressed._central_weight(rabi, 0.0, g, delta2 - 2.0 * rabi)
+    assert abs(central_line_amplitude(rabi, g, delta2) ** 2 - weight) <= 1e-12
 
 
 def test_central_amplitude_validation():

@@ -26,8 +26,10 @@ from bifluor.emitter import BichromaticDrive, DriveField, EmitterParams
 from bifluor.errors import (
     CoverageError,
     DegenerateDriveError,
+    SingularSystemError,
     TruncationError,
     TruncationWarning,
+    ValidationError,
 )
 from bifluor.floquet import (
     build_periodic_liouvillian,
@@ -79,6 +81,12 @@ def test_harmonic_matrix_reshapes_the_harmonic(emitter, drive):
     mat = state.harmonic_matrix(1)
     assert mat.shape == (2, 2)
     assert mat[0, 0] == vec[0] and mat[1, 1] == vec[3]
+
+
+def test_harmonics_beyond_the_cutoff_are_zero(emitter, drive):
+    _, state = steady(emitter, drive)
+    for k in (state.cutoff + 1, -state.cutoff - 1):
+        assert np.array_equal(state.harmonic(k), np.zeros(4))
 
 
 def test_weak_field_off_reduces_to_mollow(emitter, strong, fine_grid):
@@ -350,6 +358,25 @@ def test_resolvent_results_do_not_share_memory_across_calls(emitter, drive):
     floquet._sambe_resolvent(pl, other[4:-4], nu - 1.0, 8, harmonics=True)
     for before, after in zip(kept, (x0, edge, xs)):
         assert np.array_equal(before, after)
+
+
+def test_a_non_finite_resolvent_is_singular(emitter, drive):
+    pl, state = steady(emitter, drive)
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(SingularSystemError):
+        floquet._sambe_resolvent(pl, floquet._incoherent_seed(state, 16), np.array([np.nan]), 16)
+
+
+def test_an_invalid_spectrum_fails_its_row_alone(emitter, strong, drive):
+    # a decreasing grid passes the coverage check but makes no Spectrum:
+    # emission_spectrum raises, and a map reports each such row
+    grid = np.round(np.arange(-90, 91) * 0.1, 1)[::-1]
+    pl, state = steady(emitter, drive)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        emission_spectrum(pl, state, grid)
+    result = detuning_map(emitter, strong, 0.87, np.array([0.0, 0.5]), grid)
+    assert [msg for _d2, msg in result.failures] == [
+        "ValidationError: freq must be strictly increasing"
+    ] * 2
 
 
 def test_at_cutoff_zero_the_only_harmonic_is_x0(emitter, drive):

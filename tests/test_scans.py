@@ -199,7 +199,7 @@ class TestDetuningMap:
         def no_rows(*_args, **_kwargs):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(scans, "build_periodic_liouvillian", no_rows)
+        monkeypatch.setattr(floquet, "build_periodic_liouvillian", no_rows)
         with pytest.raises(ValidationError, match="workers must be at least 1"):
             detuning_map(emitter, strong, 0.87, MAP_AXIS, MAP_GRID, workers=0)
 
@@ -405,11 +405,23 @@ class TestSubharmonics:
         def no_rows(*_args):
             raise AssertionError("a row was built before the axis was checked")
 
-        monkeypatch.setattr(scans, "build_periodic_liouvillian", no_rows)
+        monkeypatch.setattr(floquet, "build_periodic_liouvillian", no_rows)
         axis = subharmonic_axis(2.9, orders=(1,), points_per_order=5)
         etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
         with pytest.raises(CoverageError):
             subharmonic_scan(emitter, strong, axis, etalon, orders=(1, 2))
+
+    def test_an_axis_beside_the_dip_window_is_refused(self, emitter, strong):
+        # order 1: 2 Omega = 5.8 GHz, gap Omega = 2.9 GHz, dip window [4.35, 7.83] GHz;
+        # these points lie above the window, though less than a gap above 2 Omega
+        axis = -np.linspace(5.8 + 0.75 * 2.9, 5.8 + 0.95 * 2.9, 6)
+        with pytest.raises(CoverageError, match="order-1 dip window"):
+            subharmonic_scan(emitter, strong, axis, ETALON, orders=(1,))
+
+    def test_an_axis_below_the_subharmonic_inside_the_window_is_accepted(self, emitter, strong):
+        axis = -np.linspace(5.8 - 0.45 * 2.9, 5.8 - 0.05 * 2.9, 6)
+        scan = subharmonic_scan(emitter, strong, axis, ETALON, orders=(1,))
+        assert scan.failures == () and np.isfinite(scan.intensity).all()
 
     def test_scan_validation(self, emitter, strong):
         etalon = EtalonFilter(center_ghz=0.0, fsr_ghz=9.18, fwhm_ghz=0.14)
@@ -685,6 +697,8 @@ class TestDegenerate:
             plateau_edges(freq, np.ones_like(freq), 2.9, 0.0)
         with pytest.raises(CoverageError):
             plateau_edges(np.array([0.0, 6.0, 12.0]), np.ones(3), 2.9, 0.36)
+        with pytest.raises(CoverageError, match="no samples above"):
+            plateau_edges(freq, np.full(freq.size, np.nan), 2.9, 0.36)
 
 
 def test_the_cutoff_policy_lives_in_floquet():
