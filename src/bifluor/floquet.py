@@ -40,14 +40,16 @@ absent.  The harmonic cutoff is chosen on a subsample of the grid, then
 the whole grid is solved in one batched Thomas sweep that keeps, per
 frequency, only the last elimination step and the affine map from x_0
 to the edge harmonic.  The sweep runs both halves (k > 0 and k < 0) in
-one loop: swapping x_eg and x_ge (Pi) makes the k < 0 half an image of
-the k > 0 half, since Pi lm Pi has the zero pattern of lp.  Each
-coupling has two non-zero entries, and l0 never couples x_eg to x_ge,
-so every block is an arrow around x_ee, eliminated entry by entry on
-(2, n) arrays.  Above the seed's last harmonic, min(cutoff, 2c) for a
-spectrum on a steady state of cutoff c and 1 for the steady state, the
-inhomogeneous part of every step is exactly zero, so those steps run
-only the elimination, 32 of a step's 52 ufunc calls.  A cutoff is
+one loop, the k < 0 half as the conjugate mirror of a k > 0 half, since
+with x_eg and x_ge swapped (Pi) Pi l0 Pi = conj(l0) and Pi lm Pi =
+conj(lp).  Each coupling has two non-zero entries, and l0 never couples
+x_eg to x_ge, so every block is an arrow around x_ee, eliminated entry
+by entry.  On a grid symmetric about Delta1 the mirror's frequencies are
+the grid's own, so both halves share the seed-free part of each step, 32
+of its 52 ufunc calls.  Above the seed's last harmonic, min(cutoff, 2c)
+for a spectrum on a steady state of cutoff c and 1 for the steady state,
+the inhomogeneous part of every step is exactly zero, so those steps run
+only that seed-free part.  A cutoff is
 accepted when both edge harmonics are within EDGE_TOL of the largest x_0
 on the grid: the steady state and the spectrum share that one tolerance.
 One ladder loop, _ladder, makes every such choice, for the steady state,
@@ -416,10 +418,13 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     shape (n,), for the caller to compare with the norms of x_0.
 
     Both halves are eliminated toward k = 0 in one loop, on arrays whose
-    first axis is the half.  In the down half's coordinates the two
-    coherences are swapped (Pi), which turns it into an up half: Pi lm Pi
-    couples like lp, Pi lp Pi like lm, and Pi l0 Pi keeps l0's zeros.  In
-    these coordinates (spoke 0, spoke 1, hub 2) the outward coupling
+    first axis is the half, both as the k > 0 half: Pi l0 Pi = conj(l0)
+    and Pi lm Pi = conj(lp) bit for bit, with the coherences swapped (Pi),
+    so row 1 solves the conjugated, Pi-swapped seeds x_{-k} at
+    -conj(nu[::-1]), beats reversed.  IEEE arithmetic commutes with
+    conjugation, so conjugating and reversing row 1 (flip) gives the
+    k < 0 half's bits, at k = 0, in the edge map and in the outward pass.
+    In these coordinates (spoke 0, spoke 1, hub 2) the outward coupling
     fills (0, 2) and (2, 1), the inward one (1, 2) and (2, 0), and every
     block, Schur term included, is an arrow solved by scalar formulas.
     The map from x_0 to the edge harmonic has rank one after two steps,
@@ -427,80 +432,98 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
     steady state, _solve_balance) every step is kept, and every x_k, found
     outward from x_0, is returned instead: shape (2 * cutoff + 1, 3, n).
 
-    The sweep runs in place on a fixed set of (2, n) arrays, 52 whatever
-    the cutoff: 13 block constants and the beat, broadcast to that shape
-    once; the three diagonals; 23 working buffers; and 12 kept ones, the
-    factors of block cutoff and the lead and tail of the edge map.  A
-    step is copied only where it is kept, so with ``harmonics`` memory
-    grows by 8 such arrays per harmonic.
-
     A step j runs 52 ufunc calls: 32 for the block factors, Schur terms
-    and edge gain, which do not depend on the seed, and 20 for z_j =
-    inv (seed_j + outward z_{j+1}) and the edge map's accumulator.  Above
-    top, the largest |k| with a nonzero seed row, every z_j and that
-    accumulator are exactly zero, so those steps skip the 20 and keep
-    their zero start values.  top is min(cutoff, 2c) for a spectrum on a
-    steady state of cutoff c (_incoherent_seed) and 1 for the steady
-    state (_solve_balance).  Where every block is regular (see above),
-    inv 0 is 0, so the skip is exact; a singular block there still
-    reaches x_0 through the Schur terms.
+    and edge gain, which depend on the frequency and the beat only, and
+    20 for z_j = inv (seed_j + outward z_{j+1}) and the edge map's
+    accumulator.  Where row 1's frequencies and beats are row 0's (nu
+    symmetric about 0 to 4 ulps of max |nu|, the beats a palindrome: a
+    grid symmetric about Delta1), the 32 run once for both rows, on
+    (1, n) arrays at (nu - conj(nu[::-1])) / 2.  Above top, the largest
+    |k| with a nonzero seed row, every z_j and that accumulator are
+    exactly zero, so those steps skip the 20 and keep their zero start
+    values.  top is min(cutoff, 2c) for a spectrum on a steady state of
+    cutoff c (_incoherent_seed) and 1 for the steady state
+    (_solve_balance).  Where every block is regular (see above), inv 0 is
+    0, so the skip is exact; a singular block there still reaches x_0
+    through the Schur terms.
+
+    The sweep runs in place on a fixed set of arrays whatever the cutoff:
+    13 block constants and the beat, the three diagonals and 17 factor
+    buffers, of shape (1, n) where the rows share them; 6 buffers for the
+    seed's terms; and 12 kept ones, the factors and terms of block cutoff
+    and the lead and tail of the edge map.  That is 52 arrays of shape
+    (2, n), or 32 where the rows share.  A step is copied only where it
+    is kept, so with ``harmonics`` memory grows by 8 arrays per harmonic.
     """
     l0, lp, lm = _traceless(pl)
-    up, down = (np.ix_(p, p) for p in _HALVES)
-    neg = -np.stack([l0[up], l0[down]])  # axes (half, row, col)
-    o02, o21 = np.stack([lm[up], lp[down]])[:, [0, 2], [2, 1]].T[..., None]  # outward
-    i12, i20 = np.stack([lp[up], lm[down]])[:, [1, 2], [2, 0]].T[..., None]  # inward
-    c02, c20, c12, c21 = neg[:, [0, 2, 1, 2], [2, 0, 2, 1]].T[..., None]
+    up = np.ix_(_HALVES[0], _HALVES[0])
+    neg = -l0[up]  # axes (row, col)
+    # arrays of one element: numpy's scalar complex product may round unlike its array loops
+    o02, o21 = lm[up][[0, 2], [2, 1], None, None]  # outward
+    i12, i20 = lp[up][[1, 2], [2, 0], None, None]  # inward
+    c02, c20, c12, c21 = neg[[0, 2, 1, 2], [2, 0, 2, 1], None, None]
     # the next block's Schur term o02 inv22 i20 at (0, 0), o02 inv21 i12 at
     # (0, 2), o21 inv12 i20 at (2, 0), o21 inv11 i12 at (2, 2); the signs of
     # inv21 = -vw and inv12 = -uw are folded into m02 and m20
     m00, m02, m20, m22 = o02 * i20, -o02 * i12, -o21 * i20, o21 * i12
     c1221, ni12 = c12 * c21, -i12
-    d0, d1, d2 = (1j * np.asarray(nu) + neg[:, i, i, None] for i in range(3))
-    shift = 1j * (pl.delta if delta is None else delta) * np.array([[1.0], [-1.0]])
-    shape = d0.shape
+    nu = np.asarray(nu)
+    beat = np.broadcast_to(pl.delta if delta is None else delta, nu.shape)
+    freq, beat = np.stack([nu, -nu[::-1].conj()]), np.stack([beat, beat[::-1]])
+    ulps = 4.0 * np.finfo(float).eps * np.abs(nu).max(initial=0.0)
+    if np.array_equal(*beat) and np.abs(freq[0] - freq[1]).max(initial=0.0) <= ulps:
+        freq, beat = freq.mean(axis=0, keepdims=True), beat[:1]
+    shape = freq.shape
+    d0, d1, d2 = (1j * freq + neg[i, i] for i in range(3))
     # a full-shape operand is about twice as fast as a broadcast one
     consts = np.empty((14, *shape), dtype=complex)
     consts[:13] = [o02, o21, i20, c02, c20, c12, c21, m00, m02, m20, m22, c1221, ni12]
-    consts[13] = shift
+    consts[13] = 1j * beat
+    del freq, beat
     o02, o21, i20, c02, c20, c12, c21, m00, m02, m20, m22, c1221, ni12, shift = consts
+
+    def flip(a):  # row 1's values at the k < 0 half's frequencies, and back
+        return a[..., ::-1].conj()
+
     ks = np.arange(cutoff + 1)
     seed = seed if seed.ndim == 3 else seed[..., None]
-    seeds = np.stack([seed[cutoff + ks][:, _HALVES[0]], seed[cutoff - ks][:, _HALVES[1]]], axis=2)
+    seeds = np.stack([seed[cutoff + ks][:, _HALVES[0]], flip(seed[cutoff - ks][:, _HALVES[1]])], 2)
     # above harmonic top the seed is zero, and so is every z_j; a spectrum's
     # seed mostly reaches the cutoff, so that row alone is tried first
     top = cutoff
     if not seeds[cutoff].any():
         top = int(np.flatnonzero(seeds.reshape(cutoff + 1, -1).any(axis=1)).max(initial=0))
-    work = np.zeros((23, *shape), dtype=complex)
-    rec = work[:8]  # the factors of a block, the record a kept step copies
-    u0, vw, inv11, w, uw, z0, z1, z2 = rec
-    s00, s02, s20, s22, t, p0, p1, a02, v0, u1, v1, r0, bq, gain, acc = work[8:]
-    steps = []  # factors of block cutoff, and of every block with ``harmonics``
+    fac = np.zeros((17, *shape), dtype=complex)
+    u0, vw, inv11, w, uw = fac[:5]  # the factors of a block, kept with its z
+    s00, s02, s20, s22, p0, p1, a02, v0, u1, v1, bq, gain = fac[5:]
+    work = np.zeros((6, 2, nu.size), dtype=complex)
+    z0, z1, z2, r0, acc, t = work
+    q = t[: shape[0]]  # the factors' scratch, free while the z use t
+    steps = []  # factors and z of block cutoff, and of every block with ``harmonics``
 
     def outward(step, hub, spoke):  # x_j = inv_j inward x_{j-1} + z_j, from (hub, spoke 0)_{j-1}
-        u0, vw, inv11, w, uw, z0, z1, z2 = step
+        (u0, vw, inv11, w, uw), (z0, z1, z2) = step
         e1, e2 = i12 * hub, i20 * spoke
         h = w * e2 - vw * e1
         return z0 - u0 * h, inv11 * e1 - uw * e2 + z1, h + z2
 
     # every ufunc call writes its last argument; each line keeps the operands
     # and order of the plain expression in its comment, so the results are
-    # those bits; t is the scratch buffer
+    # those bits; t, and its first rows q, are the scratch buffers
     for j in range(cutoff, 0, -1):
         # x_j = inv (inward x_{j-1} + r), r = seed_j + outward z_{j+1}, z_j = inv r
-        np.multiply(float(j), shift, t)  # t = j shift
-        np.divide(1.0, np.add(d1, t, p1), p1)  # p1 = 1 / (d1 + t)
+        np.multiply(float(j), shift, q)  # q = j shift
+        np.divide(1.0, np.add(d1, q, p1), p1)  # p1 = 1 / (d1 + q)
         np.subtract(c02, s02, a02)
-        np.add(d0, t, p0)  # p0 = 1 / (d0 + t - s00)
+        np.add(d0, q, p0)  # p0 = 1 / (d0 + q - s00)
         np.divide(1.0, np.subtract(p0, s00, p0), p0)
         np.multiply(np.subtract(c20, s20, v0), p0, v0)  # v0 = (c20 - s20) p0
         np.multiply(a02, p0, u0)
         np.multiply(c12, p1, u1)
         np.multiply(c21, p1, v1)
-        np.subtract(np.add(d2, t, w), s22, w)  # w = inv22, 1 / (d2 + t - s22 ...
-        w -= np.multiply(v0, a02, t)  # ... - v0 a02 ...
-        w -= np.multiply(c1221, p1, t)  # ... - c1221 p1)
+        np.subtract(np.add(d2, q, w), s22, w)  # w = inv22, 1 / (d2 + q - s22 ...
+        w -= np.multiply(v0, a02, q)  # ... - v0 a02 ...
+        w -= np.multiply(c1221, p1, q)  # ... - c1221 p1)
         np.divide(1.0, w, w)
         if j <= top:
             r0s, r1s, r2s = seeds[j]
@@ -523,7 +546,7 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
         # (hub, spoke 0) of block j is (w, -u0 w) eta_j + (z2, z0), with
         # eta_j = bq hub_{j-1} + i20 spoke_{j-1}
         if harmonics or j == cutoff:
-            steps.append(rec.copy())
+            steps.append((fac[:5].copy(), work[:3].copy()))
         elif j == cutoff - 1:  # (hub, spoke 0)_{c-1} = lead (gain eta_j + acc) + tail
             lead, tail = (w.copy(), -u0 * w), (z2.copy(), z0.copy())
             gain[...], acc[...] = 1.0, 0.0
@@ -533,38 +556,43 @@ def _sambe_resolvent(pl, seed: np.ndarray, nu, cutoff: int, delta=None, harmonic
                 t += np.multiply(i20, z0, r0)
                 acc += np.multiply(gain, t, t)
             np.multiply(gain, w, gain)  # gain = gain w (bq - i20 u0)
-            np.multiply(gain, np.subtract(bq, np.multiply(i20, u0, t), t), gain)
+            np.multiply(gain, np.subtract(bq, np.multiply(i20, u0, q), q), gain)
         np.multiply(ni12, v1, bq)
     # k = 0: one arrow whose spokes are the up half's spoke 0 (_S) and the
-    # down half's (_F), around the shared hub
+    # down half's (_F), flipped back, around the shared hub
     np.subtract(c02, s02, a02)
     np.divide(1.0, np.subtract(d0, s00, p0), p0)  # p0 = 1 / (d0 - s00)
     np.multiply(np.subtract(c20, s20, v0), p0, v0)  # v0 = (c20 - s20) p0
     r0s, _, r2s = seeds[0]
     np.add(r0s, np.multiply(o02, z2, r0), r0)  # r0 = r0 + o02 z2
-    hub = (r2s[0] + (o21 * z1 - v0 * r0).sum(axis=0)) / (d2[0] - (s22 + v0 * a02).sum(axis=0))
-    spokes = p0 * (r0 - a02 * hub)
+
+    def meet(a):  # a term of both halves, at row 0's frequencies, summed
+        return a[0] + flip(a[-1])
+
+    hub = (r2s[0] + meet(o21 * z1 - v0 * r0)) / (d2[0] - meet(s22 + v0 * a02))
+    hubs = np.stack([hub, flip(hub)], out=z1)  # the hub at each row's frequencies
+    spokes = p0 * (r0 - a02 * hubs)
     x0 = np.empty((3, hub.size), dtype=complex)
-    x0[_HALVES[:, 0]], x0[_H] = spokes, hub
+    x0[_S], x0[_F], x0[_H] = spokes[0], flip(spokes[1]), hub
     if harmonics:  # outward from k = 0, both halves at once
-        x, out = (spokes, None, hub), np.empty((cutoff, 3, *shape), dtype=complex)
+        x, out = (spokes, None, hubs), np.empty((cutoff, *work[:3].shape), dtype=complex)
         for k, step in enumerate(reversed(steps)):
             out[k] = x = outward(step, x[2], x[0])
         # out is (k - 1, coordinate, half, nu); each _HALVES row is its own inverse
-        xs = np.concatenate([out[::-1, _HALVES[1], 1], x0[None], out[:, _HALVES[0], 0]])
+        xs = np.concatenate([flip(out[::-1, _HALVES[1], 1]), x0[None], out[:, _HALVES[0], 0]])
     if not np.all(np.isfinite(xs if harmonics else x0)):
         raise SingularSystemError("resolvent solve hit a singular block")
     if harmonics:
         return xs
     if cutoff == 0:
         return x0, np.zeros(hub.size)
-    pair = (hub, spokes)
+    pair = (hubs, spokes)
     if cutoff > 1:  # eta = gain (bq hub + i20 spokes) + acc, pair = lead eta + tail
-        np.add(np.multiply(bq, hub, t), np.multiply(i20, spokes, r0), t)
+        np.add(np.multiply(bq, hubs, t), np.multiply(i20, spokes, r0), t)
         eta = np.add(np.multiply(gain, t, t), acc, t)
-        pair = [np.add(np.multiply(a, eta, a), b, a) for a, b in zip(lead, tail)]
+        pair = [np.add(np.multiply(a, eta, r0), b, b) for a, b in zip(lead, tail)]
     edge = np.sqrt(sum((v.conj() * v).real for v in outward(steps[0], *pair)))
-    return x0, edge.max(axis=0)
+    return x0, np.maximum(edge[0], edge[1, ::-1])
 
 
 def _edge_residual(x0: np.ndarray, edge: np.ndarray) -> np.ndarray:
@@ -658,7 +686,9 @@ def _resolvent_cutoffs(rows, nu, starts=None, full_pass=False) -> list:
 
 
 def _check_coverage(pl: PeriodicLiouvillian, grid: np.ndarray) -> None:
-    """Raise CoverageError unless ``grid`` covers pl's lines (see emission_spectrum)."""
+    """Raise unless ``grid`` increases and covers pl's lines (see emission_spectrum)."""
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValidationError("freq must be strictly increasing")
     drive = pl.drive
     d1 = drive.strong.detuning
     span = np.hypot(2.0 * drive.strong.rabi, d1)  # Mollow sidebands at d1 +- span
@@ -841,7 +871,8 @@ def emission_spectrum(
     steady-state harmonic m.  The grid must cover Delta1 +- (the larger
     of the Mollow sideband offset sqrt((2 Omega)^2 + Delta1^2) and the
     beat |delta|, plus 2 G and three linewidths); otherwise a
-    CoverageError is raised.
+    CoverageError is raised.  A grid that does not strictly increase
+    raises ValidationError, also before any solve.
     """
     grid = np.asarray(grid, dtype=float)
     _check_coverage(pl, grid)

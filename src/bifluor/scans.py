@@ -484,9 +484,15 @@ def plateau_edges(freq, intensity, rabi: float, alpha: float, detuning: float = 
     sample: at alpha = 0.36, -1.15 GHz, where 2 Omega (1 - sqrt(alpha))
     is 2.32 GHz.  Spectra of two methods then agree on that edge because
     they share the window, not because they share the plateau.
+    Non-finite intensity raises ValidationError, naming the first such
+    sample.
     """
     freq = np.asarray(freq, dtype=float)
     intensity = np.asarray(intensity, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(intensity))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"intensity sample {i} at {freq[i]:g} GHz is {intensity[i]}")
     amp = np.sqrt(alpha)
     lo = detuning + 2.0 * rabi * (1.0 - amp)
     hi = detuning + 2.0 * rabi * (1.0 + amp)

@@ -331,8 +331,9 @@ def test_resolvent_memory_does_not_grow_with_the_cutoff(emitter):
 
 
 def test_resolvent_working_memory_is_a_fixed_number_of_sweep_arrays(emitter):
-    # the sweep's buffers, constants and kept records are (2, n) arrays; a
-    # new buffer or a per-step temporary that outlives its step shows here
+    # on this grid, symmetric about Delta1, the sweep's constants and factors
+    # are (1, n) arrays shared by both halves, and only the seed's terms are
+    # (2, n); a new buffer or a per-step temporary that outlives its step shows here
     pl, state = steady(emitter, small_delta_drive(emitter))
     nu = 2.0 * np.pi * WIDE_GRID
     seed = floquet._incoherent_seed(state, 162)
@@ -343,7 +344,7 @@ def test_resolvent_working_memory_is_a_fixed_number_of_sweep_arrays(emitter):
     finally:
         tracemalloc.stop()
     assert nu.size == 2401
-    assert peak < 64 * np.empty((2, nu.size), dtype=complex).nbytes
+    assert peak < 42 * np.empty((2, nu.size), dtype=complex).nbytes
 
 
 def test_resolvent_results_do_not_share_memory_across_calls(emitter, drive):
@@ -377,6 +378,17 @@ def test_an_invalid_spectrum_fails_its_row_alone(emitter, strong, drive):
     assert [msg for _d2, msg in result.failures] == [
         "ValidationError: freq must be strictly increasing"
     ] * 2
+
+
+def test_a_decreasing_grid_fails_before_any_solve(emitter, strong, drive, monkeypatch):
+    grid = np.round(np.arange(-90, 91) * 0.1, 1)[::-1]
+    pl = build_periodic_liouvillian(emitter, drive)
+    calls = []
+    monkeypatch.setattr(floquet, "_sambe_resolvent", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        emission_spectrum(pl, None, grid)
+    result = detuning_map(emitter, strong, 0.87, np.array([0.0, 0.5]), grid)
+    assert len(result.failures) == 2 and calls == []
 
 
 def test_at_cutoff_zero_the_only_harmonic_is_x0(emitter, drive):
@@ -438,6 +450,47 @@ def test_the_couplings_have_the_sparsity_the_sweep_uses(times, params, phase):
     swap = np.ix_([ge, eg, ee], [ge, eg, ee])  # Pi
     assert np.array_equal(lm[swap] != 0.0, lp != 0.0)
     assert l0[eg, ge] == 0.0 and l0[ge, eg] == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(lifetimes, drives, st.floats(0.0, 6.2))
+def test_swapping_the_coherences_conjugates_the_couplings(times, params, phase):
+    # the sweep solves the k < 0 half as the conjugate mirror of the k > 0 half,
+    # exactly only if these hold bit for bit
+    pl = build_periodic_liouvillian(EmitterParams(*times), random_drive(*params, phase=phase))
+    l0, lp, lm = floquet._traceless(pl)
+    swap = np.ix_([1, 0, 2], [1, 0, 2])  # Pi, in (x_eg, x_ge, x_ee)
+    assert np.array_equal(l0[swap], l0.conj())
+    assert np.array_equal(lm[swap], lp.conj())
+
+
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", "two_beats"])
+def test_the_mirrored_sweep_matches_a_dense_solve(emitter, case):
+    # a grid symmetric about Delta1 shares the seed-free factors of both halves;
+    # an asymmetric grid, and rows with different beats, solve two rows
+    d1 = 0.3 if case == "asymmetric" else 0.0
+    beats = [-5.8, 3.1] if case == "two_beats" else [-5.8]
+    grid = np.linspace(-12.0, 12.0, 301)
+    nu = 2.0 * np.pi * (grid - d1)
+    symmetric = np.abs(nu + nu[::-1]).max() <= 4.0 * np.finfo(float).eps * np.abs(nu).max()
+    assert symmetric == (case != "asymmetric")
+    cutoff, seeds, refs, pls = 12, [], [], []
+    for beat in beats:
+        pls.append(build_periodic_liouvillian(emitter, random_drive(2.9, d1, 0.87, beat, 1.234)))
+        seeds.append(floquet._incoherent_seed(periodic_steady_state(pls[-1]), cutoff))
+        parts = generator_parts(390.0, 424.0, 2.9, d1, 0.87, d1 + beat, 1.234)
+        eg, ge, ee = seeds[-1].T  # row-major (gg, ge, eg, ee), gg = -ee
+        dense = sambe_dense_solve(*parts, np.stack([-ee, ge, eg, ee], axis=1), nu)
+        refs.append(dense[:, :, [2, 1, 3]])
+    seed = np.repeat(np.stack(seeds, axis=2), nu.size, axis=2)
+    delta = np.repeat([pl.delta for pl in pls], nu.size)
+    x0, edge = floquet._sambe_resolvent(pls[0], seed, np.tile(nu, len(beats)), cutoff, delta)
+    for r, ref in enumerate(refs):
+        row = slice(r * nu.size, (r + 1) * nu.size)
+        peak = np.linalg.norm(ref[:, cutoff], axis=1).max()
+        assert np.abs(x0[:, row].T - ref[:, cutoff]).max() <= 1e-12 * peak
+        norms = np.linalg.norm(ref, axis=2)
+        assert np.abs(edge[row] - np.maximum(norms[:, 0], norms[:, -1])).max() <= 1e-12 * peak
 
 
 @settings(max_examples=25, deadline=None)
@@ -665,6 +718,6 @@ def test_steady_state_solves_the_full_balance_equations(times, params, phase):
     scale = np.linalg.norm(pl.l0, 2) * np.linalg.norm(rho0)
     assert np.abs(resid).max() <= 1e-12 * scale
     assert rho0[0] + rho0[3] == pytest.approx(1.0, abs=1e-14)
+    # both halves of one drive's sweep share their seeds and their arithmetic
     for m in range(c + 1):
-        adjoint = state.harmonic_matrix(m).conj().T
-        assert np.abs(state.harmonic_matrix(-m) - adjoint).max() <= 1e-12 * np.linalg.norm(rho0)
+        assert np.array_equal(state.harmonic_matrix(-m), state.harmonic_matrix(m).conj().T)

@@ -697,8 +697,12 @@ class TestDegenerate:
             plateau_edges(freq, np.ones_like(freq), 2.9, 0.0)
         with pytest.raises(CoverageError):
             plateau_edges(np.array([0.0, 6.0, 12.0]), np.ones(3), 2.9, 0.36)
-        with pytest.raises(CoverageError, match="no samples above"):
+        with pytest.raises(ValidationError, match="sample 0 at 0 GHz is nan"):
             plateau_edges(freq, np.full(freq.size, np.nan), 2.9, 0.36)
+        spiked = np.ones_like(freq)
+        spiked[[300, 400]] = np.inf, np.nan
+        with pytest.raises(ValidationError, match="sample 300 at 6 GHz is inf"):
+            plateau_edges(freq, spiked, 2.9, 0.36)
 
 
 def test_the_cutoff_policy_lives_in_floquet():
