@@ -3,13 +3,15 @@
 All writers are atomic (temp file in the target directory, then
 os.replace) and write every value as ``str`` of its Python scalar
 (``_fmt``, or ``tolist()`` for a whole array), so identical results
-produce byte-identical files regardless of how they were computed.
-``cli`` writes run metadata with ``_keyvalue_text``.
+produce byte-identical files regardless of how they were computed; a
+table is formatted in one call, its "%s" row format repeated over all
+its cells.  ``cli`` writes run metadata with ``_keyvalue_text``.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -39,9 +41,11 @@ def _keyvalue_text(entries: dict) -> str:
 
 
 def _write_table(path, header: str, *columns) -> None:
-    """The header line, then row i of the columns; an array's tolist() is already Python scalars."""
-    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else map(_fmt, c) for c in columns]
-    atomic_write_text(path, header + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
+    """The header line, then row i of the columns, all by one "%s" row format repeated per row."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else map(_fmt, c) for c in columns]
+    cells = tuple(chain.from_iterable(zip(*cols)))
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    atomic_write_text(path, header + "\n" + row * (len(cells) // max(len(columns), 1)) % cells)
 
 
 def atomic_write_text(path, text: str) -> None:

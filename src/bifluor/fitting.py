@@ -1,12 +1,12 @@
 """Damped Gauss-Newton least squares.
 
-Small hand-rolled optimizer used by the spectrum fits.  The residual is
-evaluated on a stack of parameter vectors: ``residual_fn(P)`` takes an
-(m, k) array, one parameter vector per row, and returns the (m, n)
-residuals, one row per member.  A trial step is a stack of one; each
-Jacobian is one call on the (2k, k) stack of central-difference points
-p +- h_i e_i with h_i = max(1e-6 |p_i|, 1e-8 scale_i), so a model that
-evaluates its stack at once pays its fixed cost once per Jacobian.
+Small hand-rolled optimizer used by the spectrum fits.  ``residual_fn(P)``
+takes an (m, k) stack of parameter vectors and returns the (m, n)
+residuals, one row per member.  Each call is a (2k + 1, k) stack: a
+point p in row 0, then p +- h_i e_i with h_i = max(1e-6 |p_i|, 1e-8
+scale_i).  The start and each trial step are one call, and an accepted
+step's stencil is the next Jacobian.  r and J are made contiguous (J
+C-ordered) before any product, so no bit depends on the stack's layout.
 
 Levenberg damping with Marquardt scaling: the normal equations are
 solved as (J^T J + lam * diag(J^T J)) step = -J^T r, with lam starting
@@ -44,49 +44,45 @@ class GaussNewtonResult:
     converged: bool
 
 
-def _jacobian(residual_fn, p, scale):
+def _evaluate(residual_fn, p, scale):
+    """Residual and central-difference Jacobian at p from one call on its stencil."""
     h = np.maximum(1e-6 * np.abs(p), 1e-8 * scale)
     shifts = np.diag(h)
-    r = residual_fn(np.concatenate([p + shifts, p - shifts]))
-    return ((r[: p.size] - r[p.size :]) / (2.0 * h[:, None])).T
+    r = residual_fn(np.concatenate([p[None], p + shifts, p - shifts]))
+    jac = (r[1 : p.size + 1] - r[p.size + 1 :]) / (2.0 * h[:, None])
+    return np.ascontiguousarray(r[0]), np.ascontiguousarray(jac.T)
 
 
 def gauss_newton(residual_fn, p0) -> GaussNewtonResult:
     """Minimize ||residual_fn(p[None])[0]||^2 from p0 in at most _MAX_ITER = 200 iterations."""
     p = np.asarray(p0, dtype=float).copy()
     scale = np.maximum(np.abs(p), 1.0)
-    r = residual_fn(p[None])[0]
+    r, J = _evaluate(residual_fn, p, scale)
     cost = float(r @ r)
     lam = _DAMPING
-    J = _jacobian(residual_fn, p, scale)
     for it in range(1, _MAX_ITER + 1):
         A = J.T @ J
         g = J.T @ r
         D = np.diag(np.maximum(np.diag(A), 1e-14))
-        accepted = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(A + lam * D, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = residual_fn((p + step)[None])[0]
+            r_new, J_new = _evaluate(residual_fn, p + step, scale)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and (cost_new <= cost or lam > 1e14):
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             last = GaussNewtonResult(p, r, J, cost, it, False)
             raise FitFailure(
                 f"no acceptable step at iteration {it} (cost {cost:.3e})", result=last
             )
-        p = p + step
         rel_drop = abs(cost - cost_new) / max(cost, 1e-300)
-        cost = cost_new
-        r = r_new
+        p, r, J, cost = p + step, r_new, J_new, cost_new
         lam = max(lam * 0.1, 1e-14)
-        J = _jacobian(residual_fn, p, scale)
         if rel_drop < _REL_TOL or float(np.linalg.norm(step)) < _STEP_TOL:
             return GaussNewtonResult(p, r, J, cost, it, True)
     last = GaussNewtonResult(p, r, J, cost, _MAX_ITER, False)

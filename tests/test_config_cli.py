@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bifluor
 from bifluor import bloch, cli, csvio, floquet
@@ -358,6 +360,51 @@ delta2_max_ghz = 1
 delta2_step_ghz = 0.5
 fit_delta1 = true
 """
+
+
+_EXTREME_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308]
+_FLOATS = st.one_of(st.sampled_from(_EXTREME_FLOATS), st.floats())
+_CELLS = st.one_of(
+    _FLOATS,
+    st.integers(),
+    st.booleans(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8),
+    _FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_ARRAY_CELLS = st.sampled_from(
+    [(_FLOATS, np.float64), (st.integers(-(2**63), 2**63 - 1), np.int64), (st.booleans(), bool)]
+)
+
+
+@st.composite
+def tables(draw):
+    """1-4 columns of 0-40 rows, each a list of mixed cells or a numpy array."""
+    n_rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(draw(st.lists(_CELLS, min_size=n_rows, max_size=n_rows)))
+        else:
+            cells, dtype = draw(_ARRAY_CELLS)
+            values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_write_table_matches_str_of_each_cell(tmp_path_factory, columns):
+    # the oracle is a join of str of each cell, numpy scalars through .item()
+    def cell(value):
+        return str(value.item() if isinstance(value, np.generic) else value)
+
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    expected = header + "\n" + "".join(",".join(map(cell, row)) + "\n" for row in zip(*columns))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    csvio._write_table(path, header, *columns)
+    assert path.read_bytes() == expected.encode()
 
 
 def write_cfg(tmp_path, text, name="run.ini"):

@@ -26,19 +26,25 @@ def test_linear_least_squares_reaches_the_normal_equation_solution():
 
 
 def test_one_stacked_residual_call_per_jacobian():
+    # the start and every trial point are one call each: the point in row 0,
+    # then its central-difference stencil, which is the next Jacobian when
+    # the step is accepted
     _, _, residual = linear_problem()
-    shapes = []
+    stacks = []
 
     def spy(P):
-        shapes.append(P.shape)
+        stacks.append(P.copy())
         return residual(P)
 
     result = gauss_newton(spy, np.zeros(3))
-    # one Jacobian at the start and one after every accepted step; the
-    # other calls are single trial points (the start is one of them)
-    assert shapes.count((6, 3)) == result.n_iter + 1
-    assert shapes.count((1, 3)) + shapes.count((6, 3)) == len(shapes)
-    assert shapes.count((1, 3)) >= result.n_iter + 1
+    assert all(P.shape == (7, 3) for P in stacks)
+    assert np.array_equal(stacks[0][0], np.zeros(3))
+    assert np.array_equal(stacks[-1][0], result.params)
+    for P in stacks:
+        assert np.allclose(P[1:4] + P[4:], 2.0 * P[0], rtol=0.0, atol=1e-12)
+        assert np.all(np.diag(P[1:4] - P[0]) > 0.0)
+    # the linear problem accepts every trial, so one call per iteration
+    assert len(stacks) == 1 + result.n_iter
 
 
 def rosenbrock(P):
@@ -58,14 +64,16 @@ def test_running_out_of_iterations_carries_the_last_iterate(monkeypatch):
 
 
 def test_non_finite_trial_steps_are_rejected(monkeypatch):
-    # finite at the start and on every Jacobian stack, NaN at every later trial
-    # point: no step is ever accepted, so the fit gives up in its first iteration
+    # finite everywhere at the start, NaN in row 0 (the trial point) of every
+    # later call: no step is ever accepted, so the fit gives up in its first
+    # iteration
     calls = []
 
     def residual(P):
+        assert P.shape == (5, 2)
         r = rosenbrock(P)
-        if P.shape[0] == 1 and calls:
-            r = np.full_like(r, np.nan)
+        if calls:
+            r[0] = np.nan
         calls.append(P.shape)
         return r
 
@@ -77,3 +85,25 @@ def test_non_finite_trial_steps_are_rejected(monkeypatch):
     assert last.n_iter == 1 and not last.converged
     assert np.array_equal(last.params, start)
     assert np.isfinite(last.cost)
+    assert len(calls) == 1 + 60  # the start, then 60 rejected trials
+
+
+def layouts(residual_fn, order):
+    """residual_fn with its stack copied into C or Fortran order, values unchanged."""
+    return lambda P: np.asarray(residual_fn(P), order=order)
+
+
+@pytest.mark.parametrize(
+    "problem, start",
+    [(linear_problem()[2], np.zeros(3)), (rosenbrock, np.array([-1.2, 1.0]))],
+    ids=["linear", "rosenbrock"],
+)
+def test_result_bits_do_not_depend_on_the_stack_layout(problem, start):
+    # BLAS rounds J^T J and r.r differently for C- and F-ordered or strided
+    # operands; gauss_newton makes both contiguous first
+    c = gauss_newton(layouts(problem, "C"), start)
+    f = gauss_newton(layouts(problem, "F"), start)
+    assert np.array_equal(c.params, f.params)
+    assert np.array_equal(c.jacobian, f.jacobian)
+    assert np.array_equal(c.residual, f.residual)
+    assert c.cost == f.cost and c.n_iter == f.n_iter
